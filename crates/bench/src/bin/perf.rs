@@ -19,11 +19,11 @@ use std::time::Instant;
 
 use fusion3d_bench::support::{scene_occupancy, trace_camera};
 use fusion3d_nerf::camera::Camera;
-use fusion3d_nerf::encoding::{HashGrid, HashGridConfig};
+use fusion3d_nerf::encoding::{Encoding, HashGrid, HashGridConfig};
 use fusion3d_nerf::math::Vec3;
-use fusion3d_nerf::mlp::{Activation, Mlp, MlpBatchCache, MlpCache};
+use fusion3d_nerf::mlp::{Activation, Mlp, MlpBatchCache};
 use fusion3d_nerf::mlp_int8::QuantizedMlp;
-use fusion3d_nerf::model::{ModelConfig, ModelOptimizer, NerfModel, PointContext};
+use fusion3d_nerf::model::{ModelConfig, ModelGrads, ModelOptimizer, NerfModel};
 use fusion3d_nerf::occupancy::OccupancyGrid;
 use fusion3d_nerf::pipeline::{render_image, PipelineConfig};
 use fusion3d_nerf::reference;
@@ -158,13 +158,14 @@ fn bench_mlp_forward(smoke: bool) -> BenchLine {
 }
 
 /// INT8 MLP inference (Technique T2-2): the bit-accurate integer MAC
-/// path of [`QuantizedMlp::forward`] vs the per-sample float forward
-/// on the same trained-like weights. Both sides run one sample per
-/// call — this measures the quantized reference datapath (dynamic
-/// activation quantization + `i8×i8→i32` accumulation + dequant), not
-/// the blocked-GEMM layout, so the ratio tracks the arithmetic cost
-/// of the INT8 path rather than batching effects. Reported in the
-/// `batched` column as the quantized side.
+/// path of [`QuantizedMlp::forward`] vs the scalar per-sample float
+/// forward of [`reference::mlp_forward`] on the same trained-like
+/// weights. Both sides run one sample at a time — this measures the
+/// quantized reference datapath (dynamic activation quantization +
+/// `i8×i8→i32` accumulation + dequant), not the blocked-GEMM layout,
+/// so the ratio tracks the arithmetic cost of the INT8 path rather
+/// than batching effects. Reported in the `batched` column as the
+/// quantized side.
 fn bench_mlp_forward_int8(smoke: bool) -> BenchLine {
     let mut rng = SmallRng::seed_from_u64(31);
     let mlp = Mlp::new(&[32, 64, 64, 16], Activation::Relu, Activation::None, &mut rng);
@@ -177,7 +178,6 @@ fn bench_mlp_forward_int8(smoke: bool) -> BenchLine {
     };
     let reps = if smoke { 1 } else { 12 };
 
-    let mut cache = MlpCache::new();
     let (int8, float, speedup) = time_paired(
         reps,
         || {
@@ -186,9 +186,7 @@ fn bench_mlp_forward_int8(smoke: bool) -> BenchLine {
             }
         },
         || {
-            for s in 0..n {
-                black_box(mlp.forward(&inputs[s * dim..(s + 1) * dim], &mut cache));
-            }
+            black_box(reference::mlp_forward(&mlp, &inputs, n));
         },
     );
     BenchLine {
@@ -281,22 +279,20 @@ fn bench_render(smoke: bool) -> BenchLine {
 }
 
 /// One training step through the scalar reference kernels: per ray,
-/// Stage I via [`sample_ray`], a scalar forward per sample for
-/// compositing, the allocating [`composite_backward`], then a second
-/// scalar forward feeding [`NerfModel::backward`] per sample — the
-/// O(1)-context design the batched trainer replaced. Gradients merge
-/// into one accumulator and Adam applies once, matching
-/// [`Trainer::step`]'s update structure. Returns the processed sample
-/// count.
-#[allow(clippy::too_many_arguments)]
+/// Stage I via [`sample_ray`], [`reference::model_forward`] for
+/// compositing, the allocating [`composite_backward`], then
+/// [`reference::model_backward`], which re-runs each sample's forward
+/// pass before its backward — the O(1)-context design the batched
+/// trainer replaced. Gradients merge into one accumulator and Adam
+/// applies once, matching [`Trainer::step`]'s update structure.
+/// Returns the processed sample count.
 fn scalar_train_step<R: Rng>(
     model: &mut NerfModel,
     optimizer: &mut ModelOptimizer,
-    grads: &mut fusion3d_nerf::model::ModelGrads,
+    grads: &mut ModelGrads,
     occupancy: &OccupancyGrid,
     dataset: &Dataset,
     config: &TrainerConfig,
-    ctx: &mut PointContext,
     rng: &mut R,
 ) -> usize {
     let batch = dataset.sample_batch(config.rays_per_batch, rng);
@@ -317,10 +313,9 @@ fn scalar_train_step<R: Rng>(
         let err = out.color - *target;
         let d_pixel = err * (2.0 * inv_norm);
         let sample_grads = composite_backward(&shaded, config.background, d_pixel);
-        for (s, g) in samples.iter().zip(sample_grads.iter()) {
-            model.forward(s.position, ray.direction, ctx);
-            model.backward(s.position, ctx, g.d_sigma, g.d_color, grads);
-        }
+        let d_sigma: Vec<f32> = sample_grads.iter().map(|g| g.d_sigma).collect();
+        let d_color: Vec<Vec3> = sample_grads.iter().map(|g| g.d_color).collect();
+        reference::model_backward(model, &positions, ray.direction, &d_sigma, &d_color, grads);
     }
     optimizer.step(model, grads);
     total
@@ -351,7 +346,6 @@ fn bench_train_step(smoke: bool) -> BenchLine {
     let mut grads = scalar_model.alloc_grads();
     let mut occupancy = OccupancyGrid::new(config.occupancy_resolution, config.occupancy_threshold);
     occupancy.fill();
-    let mut ctx = PointContext::new();
     let mut scalar_rng = SmallRng::seed_from_u64(29);
 
     let steps = if smoke { 1 } else { 10 };
@@ -371,7 +365,6 @@ fn bench_train_step(smoke: bool) -> BenchLine {
                 &occupancy,
                 &dataset,
                 &config,
-                &mut ctx,
                 &mut scalar_rng,
             ));
         },

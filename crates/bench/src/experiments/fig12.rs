@@ -32,7 +32,7 @@ pub fn request_groups(points: usize) -> Vec<[VertexRequest; 8]> {
         let p =
             Vec3::new((f * 0.754877_7).fract(), (f * 0.569840_4).fract(), (f * 0.402914_6).fract());
         trace.clear();
-        grid.record_accesses(p, &mut trace);
+        grid.record_accesses(&[p], &mut trace);
         for level in trace.chunks(8) {
             let mut group = [VertexRequest { corner: 0, address: 0 }; 8];
             for (g, a) in group.iter_mut().zip(level) {

@@ -13,13 +13,14 @@
 
 use fusion3d_multichip::moe::{MoeNerf, MoeTrainer};
 use fusion3d_nerf::adam::AdamConfig;
+use fusion3d_nerf::batch::{KernelScratch, SampleBatch};
 use fusion3d_nerf::camera::Camera;
 use fusion3d_nerf::dataset::Dataset;
 use fusion3d_nerf::encoding::HashGridConfig;
 use fusion3d_nerf::math::Vec3;
 use fusion3d_nerf::model::ModelConfig;
 use fusion3d_nerf::render::{composite, ShadedSample};
-use fusion3d_nerf::sampler::{sample_ray, SamplerConfig};
+use fusion3d_nerf::sampler::{sample_ray_into, SamplerConfig};
 use fusion3d_nerf::scenes::{LargeScene, ProceduralScene};
 use fusion3d_nerf::trainer::TrainerConfig;
 use rand::rngs::SmallRng;
@@ -31,7 +32,8 @@ pub fn dominance_map(
     camera: &Camera,
     sampler: &SamplerConfig,
 ) -> Vec<Option<usize>> {
-    let mut ctx = fusion3d_nerf::model::PointContext::new();
+    let mut samples = SampleBatch::new();
+    let mut kernel = KernelScratch::new();
     camera
         .rays()
         .map(|(_, _, ray)| {
@@ -41,13 +43,14 @@ pub fn dominance_map(
             let mut best: Option<(usize, f32)> = None;
             let mut total_opacity = 0.0f32;
             for (e, expert) in moe.experts().iter().enumerate() {
-                let (samples, _) = sample_ray(&ray, &expert.occupancy, sampler);
-                let shaded: Vec<ShadedSample> = samples
+                sample_ray_into(&ray, &expert.occupancy, sampler, &mut samples);
+                expert.model.forward_batch_infer(samples.positions(), ray.direction, &mut kernel);
+                let shaded: Vec<ShadedSample> = kernel
+                    .sigma()
                     .iter()
-                    .map(|s| {
-                        let eval = expert.model.forward(s.position, ray.direction, &mut ctx);
-                        ShadedSample { sigma: eval.sigma, color: eval.color, dt: s.dt }
-                    })
+                    .zip(kernel.color())
+                    .zip(samples.dts())
+                    .map(|((&sigma, &color), &dt)| ShadedSample { sigma, color, dt })
                     .collect();
                 let out = composite(&shaded, Vec3::ZERO, false);
                 let opacity = 1.0 - out.final_transmittance;

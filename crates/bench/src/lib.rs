@@ -6,14 +6,15 @@
 //! algorithm substrate. See `DESIGN.md` for the experiment index and
 //! `EXPERIMENTS.md` for recorded paper-vs-measured results.
 //!
-//! Run individual experiments with, e.g.:
+//! Run individual experiments by name with, e.g.:
 //!
 //! ```text
-//! cargo run -p fusion3d-bench --release --bin table3
+//! cargo run -p fusion3d-bench --release --bin experiments -- table3
 //! ```
 //!
-//! or everything at once with `--bin all_experiments` (also executed
-//! by `cargo bench` through the `paper_tables` bench target).
+//! or everything at once with `--bin experiments -- all`. The `perf`,
+//! `serve` and `breakdown` binaries take their own arguments and write
+//! report files.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -22,16 +22,60 @@
 //! visualized in the paper's Fig. 8.
 
 use fusion3d_nerf::adam::AdamConfig;
+use fusion3d_nerf::batch::{KernelScratch, SampleBatch};
 use fusion3d_nerf::dataset::Dataset;
 use fusion3d_nerf::encoding::{Encoding, HashGrid};
 use fusion3d_nerf::image::Image;
 use fusion3d_nerf::math::{Ray, Vec3};
-use fusion3d_nerf::model::{ModelConfig, ModelGrads, ModelOptimizer, NerfModel, PointContext};
+use fusion3d_nerf::model::{ModelConfig, ModelGrads, ModelOptimizer, NerfModel};
 use fusion3d_nerf::occupancy::OccupancyGrid;
-use fusion3d_nerf::render::{composite, composite_backward, ShadedSample};
-use fusion3d_nerf::sampler::{sample_ray, RayWorkload, SamplerConfig};
+use fusion3d_nerf::render::{composite_backward_into, composite_into, SampleGrad, ShadedSample};
+use fusion3d_nerf::sampler::{sample_ray, sample_ray_into, RayWorkload, SamplerConfig};
 use fusion3d_nerf::trainer::TrainerConfig;
 use rand::Rng;
+
+/// One (ray, expert) evaluation's working set: the expert's Stage-I
+/// samples, the batched kernel scratch that retains its forward pass
+/// for the backward one, and the compositing buffers.
+#[derive(Debug, Default)]
+struct ExpertScratch {
+    samples: SampleBatch,
+    kernel: KernelScratch,
+    shaded: Vec<ShadedSample>,
+    weights: Vec<f32>,
+    sample_grads: Vec<SampleGrad>,
+    d_sigma: Vec<f32>,
+    d_color: Vec<Vec3>,
+}
+
+impl ExpertScratch {
+    /// Samples `ray` through `expert`'s gate, shades the samples with
+    /// one batched forward pass and composites them over a black
+    /// background, returning the expert's `(color, transmittance)`.
+    /// With `retain`, the scratch keeps what a backward pass needs.
+    fn shade<E: Encoding>(
+        &mut self,
+        expert: &Expert<E>,
+        ray: &Ray,
+        sampler: &SamplerConfig,
+        retain: bool,
+    ) -> (Vec3, f32) {
+        sample_ray_into(ray, &expert.occupancy, sampler, &mut self.samples);
+        let positions = self.samples.positions();
+        if retain {
+            expert.model.forward_batch(positions, ray.direction, &mut self.kernel);
+        } else {
+            expert.model.forward_batch_infer(positions, ray.direction, &mut self.kernel);
+        }
+        self.shaded.clear();
+        let k = &self.kernel;
+        for ((&sigma, &color), &dt) in k.sigma().iter().zip(k.color()).zip(self.samples.dts()) {
+            // lint: allow(h2): amortized into retained scratch capacity
+            self.shaded.push(ShadedSample { sigma, color, dt });
+        }
+        composite_into(&self.shaded, Vec3::ZERO, false, &mut self.weights)
+    }
+}
 
 /// One expert: a complete small NeRF model plus its gating occupancy
 /// grid, resident on one chip.
@@ -156,21 +200,22 @@ impl<E: Encoding> MoeNerf<E> {
 
     /// Renders one pixel by fusing per-expert composites.
     pub fn render_pixel(&self, ray: &Ray, sampler: &SamplerConfig, background: Vec3) -> Vec3 {
-        let mut ctx = PointContext::new();
+        self.render_pixel_with(ray, sampler, background, &mut ExpertScratch::default())
+    }
+
+    fn render_pixel_with(
+        &self,
+        ray: &Ray,
+        sampler: &SamplerConfig,
+        background: Vec3,
+        scratch: &mut ExpertScratch,
+    ) -> Vec3 {
         let mut color = Vec3::ZERO;
         let mut trans_product = 1.0f32;
         for expert in &self.experts {
-            let (samples, _) = sample_ray(ray, &expert.occupancy, sampler);
-            let shaded: Vec<ShadedSample> = samples
-                .iter()
-                .map(|s| {
-                    let eval = expert.model.forward(s.position, ray.direction, &mut ctx);
-                    ShadedSample { sigma: eval.sigma, color: eval.color, dt: s.dt }
-                })
-                .collect();
-            let out = composite(&shaded, Vec3::ZERO, false);
-            color += out.color;
-            trans_product *= out.final_transmittance;
+            let (c, t) = scratch.shade(expert, ray, sampler, false);
+            color += c;
+            trans_product *= t;
         }
         color + background * trans_product
     }
@@ -183,8 +228,9 @@ impl<E: Encoding> MoeNerf<E> {
         background: Vec3,
     ) -> Image {
         let mut img = Image::new(camera.width(), camera.height());
+        let mut scratch = ExpertScratch::default();
         for (x, y, ray) in camera.rays() {
-            img.set(x, y, self.render_pixel(&ray, sampler, background));
+            img.set(x, y, self.render_pixel_with(&ray, sampler, background, &mut scratch));
         }
         img
     }
@@ -211,6 +257,9 @@ pub struct MoeTrainer<E: Encoding = HashGrid> {
     moe: MoeNerf<E>,
     optimizers: Vec<ModelOptimizer>,
     grads: Vec<ModelGrads>,
+    /// One working set per expert: every expert's forward pass over a
+    /// ray is retained until the fused pixel's backward pass.
+    scratch: Vec<ExpertScratch>,
     config: TrainerConfig,
     iteration: u32,
 }
@@ -220,7 +269,8 @@ impl<E: Encoding> MoeTrainer<E> {
     pub fn new(moe: MoeNerf<E>, config: TrainerConfig, adam: AdamConfig) -> Self {
         let optimizers = moe.experts.iter().map(|e| ModelOptimizer::new(adam, &e.model)).collect();
         let grads = moe.experts.iter().map(|e| e.model.alloc_grads()).collect();
-        MoeTrainer { moe, optimizers, grads, config, iteration: 0 }
+        let scratch = moe.experts.iter().map(|_| ExpertScratch::default()).collect();
+        MoeTrainer { moe, optimizers, grads, scratch, config, iteration: 0 }
     }
 
     /// The MoE model.
@@ -258,30 +308,19 @@ impl<E: Encoding> MoeTrainer<E> {
         }
         let mut loss_sum = 0.0f64;
         let inv_norm = 1.0 / (batch.len() as f32 * 3.0);
-        let n = self.moe.experts.len();
-        let mut ctx = PointContext::new();
+        // lint: allow(h2): one buffer per step, sized by the expert count
+        let mut trans = vec![1.0f32; self.moe.experts.len()];
 
         for (ray, target) in &batch {
-            // Forward each expert, retaining its samples and shading.
-            let mut per_expert: Vec<(Vec<fusion3d_nerf::sampler::RaySample>, Vec<ShadedSample>)> =
-                Vec::with_capacity(n);
+            // Forward each expert, retaining its samples and kernel
+            // state in its own scratch.
             let mut color = Vec3::ZERO;
-            // lint: allow(h2): reference MoE trainer keeps per-ray
-            // clarity; the batched SoA trainer is the measured path
-            let mut trans = vec![1.0f32; n];
-            for (e, expert) in self.moe.experts.iter().enumerate() {
-                let (samples, _) = sample_ray(ray, &expert.occupancy, &self.config.sampler);
-                let mut shaded = Vec::with_capacity(samples.len());
-                for s in &samples {
-                    let eval = expert.model.forward(s.position, ray.direction, &mut ctx);
-                    // lint: allow(h2): reference path — see `trans` above
-                    shaded.push(ShadedSample { sigma: eval.sigma, color: eval.color, dt: s.dt });
-                }
-                let out = composite(&shaded, Vec3::ZERO, false);
-                color += out.color;
-                trans[e] = out.final_transmittance;
-                // lint: allow(h2): reference path — see `trans` above
-                per_expert.push((samples, shaded));
+            for ((expert, scratch), t) in
+                self.moe.experts.iter().zip(&mut self.scratch).zip(&mut trans)
+            {
+                let (c, transmittance) = scratch.shade(expert, ray, &self.config.sampler, true);
+                color += c;
+                *t = transmittance;
             }
             let trans_product: f32 = trans.iter().product();
             color += self.config.background * trans_product;
@@ -294,24 +333,31 @@ impl<E: Encoding> MoeTrainer<E> {
             // background attenuated by the other experts'
             // transmittances, so composite_backward's background term
             // carries exactly ∂(bg · Π T)/∂(this expert).
-            for (e, expert) in self.moe.experts.iter().enumerate() {
+            for (e, ((expert, scratch), grads)) in
+                self.moe.experts.iter().zip(&mut self.scratch).zip(&mut self.grads).enumerate()
+            {
                 let others: f32 =
                     trans.iter().enumerate().filter(|&(j, _)| j != e).map(|(_, &t)| t).product();
                 let effective_bg = self.config.background * others;
-                let (samples, shaded) = &per_expert[e];
-                let sample_grads = composite_backward(shaded, effective_bg, d_pixel);
-                for (s, g) in samples.iter().zip(&sample_grads) {
-                    // Re-run the forward pass for this sample to fill
-                    // the context, then backpropagate.
-                    expert.model.forward(s.position, ray.direction, &mut ctx);
-                    expert.model.backward(
-                        s.position,
-                        &ctx,
-                        g.d_sigma,
-                        g.d_color,
-                        &mut self.grads[e],
-                    );
+                composite_backward_into(
+                    &scratch.shaded,
+                    effective_bg,
+                    d_pixel,
+                    &mut scratch.sample_grads,
+                );
+                scratch.d_sigma.clear();
+                scratch.d_color.clear();
+                for g in &scratch.sample_grads {
+                    scratch.d_sigma.push(g.d_sigma); // lint: allow(h2): amortized into retained scratch capacity
+                    scratch.d_color.push(g.d_color); // lint: allow(h2): amortized into retained scratch capacity
                 }
+                expert.model.backward_batch(
+                    scratch.samples.positions(),
+                    &scratch.d_sigma,
+                    &scratch.d_color,
+                    &mut scratch.kernel,
+                    grads,
+                );
             }
         }
 
@@ -357,6 +403,8 @@ impl<E: Encoding> MoeTrainer<E> {
 mod tests {
     use super::*;
     use fusion3d_nerf::encoding::HashGridConfig;
+    use fusion3d_nerf::reference;
+    use fusion3d_nerf::render::{composite, composite_backward};
     use fusion3d_nerf::scenes::{ProceduralScene, SyntheticScene};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -425,20 +473,94 @@ mod tests {
         let ray = Ray::new(Vec3::new(-1.0, 0.3, 0.6), Vec3::X);
         let sampler = SamplerConfig::default();
         let fused = moe.render_pixel(&ray, &sampler, Vec3::ZERO);
-        let mut ctx = PointContext::new();
         let mut manual = Vec3::ZERO;
         for expert in moe.experts() {
-            let (samples, _) = sample_ray(&ray, &expert.occupancy, &sampler);
-            let shaded: Vec<ShadedSample> = samples
-                .iter()
-                .map(|s| {
-                    let eval = expert.model.forward(s.position, ray.direction, &mut ctx);
-                    ShadedSample { sigma: eval.sigma, color: eval.color, dt: s.dt }
-                })
-                .collect();
+            let (_, shaded) = reference_shade(expert, &ray, &sampler);
             manual += composite(&shaded, Vec3::ZERO, false).color;
         }
         assert!((fused - manual).length() < 1e-5);
+    }
+
+    /// One expert's samples along `ray`, shaded through the scalar
+    /// oracle.
+    fn reference_shade(
+        expert: &Expert,
+        ray: &Ray,
+        sampler: &SamplerConfig,
+    ) -> (Vec<Vec3>, Vec<ShadedSample>) {
+        let (samples, _) = sample_ray(ray, &expert.occupancy, sampler);
+        let positions: Vec<Vec3> = samples.iter().map(|s| s.position).collect();
+        let (sigmas, colors) = reference::model_forward(&expert.model, &positions, ray.direction);
+        let shaded = samples
+            .iter()
+            .zip(sigmas.iter().zip(&colors))
+            .map(|(s, (&sigma, &color))| ShadedSample { sigma, color, dt: s.dt })
+            .collect();
+        (positions, shaded)
+    }
+
+    #[test]
+    fn step_is_bitwise_the_reference_step() {
+        // One MoeTrainer::step against the same step spelled out with
+        // the scalar oracle: per ray, every expert's samples shaded by
+        // reference::model_forward, fused, then backpropagated through
+        // reference::model_backward and one Adam update per expert.
+        let scene = ProceduralScene::synthetic(SyntheticScene::Lego);
+        let dataset = Dataset::from_scene(&scene, 3, 16, 0.9);
+        let config = quick_trainer_config();
+        let adam = AdamConfig::default();
+        let build =
+            || MoeNerf::new(2, small_expert_config(), 12, 0.5, &mut SmallRng::seed_from_u64(5));
+        let mut trainer = MoeTrainer::new(build(), config, adam);
+        trainer.step(&dataset, &mut SmallRng::seed_from_u64(6));
+
+        let mut moe = build();
+        let batch = dataset.sample_batch(config.rays_per_batch, &mut SmallRng::seed_from_u64(6));
+        let mut grads: Vec<ModelGrads> =
+            moe.experts.iter().map(|e| e.model.alloc_grads()).collect();
+        let inv_norm = 1.0 / (batch.len() as f32 * 3.0);
+        for (ray, target) in &batch {
+            let shaded: Vec<_> =
+                moe.experts.iter().map(|e| reference_shade(e, ray, &config.sampler)).collect();
+            let outs: Vec<_> =
+                shaded.iter().map(|(_, s)| composite(s, Vec3::ZERO, false)).collect();
+            let trans: Vec<f32> = outs.iter().map(|o| o.final_transmittance).collect();
+            let mut color = Vec3::ZERO;
+            for o in &outs {
+                color += o.color;
+            }
+            color += config.background * trans.iter().product::<f32>();
+            let d_pixel = (color - *target) * (2.0 * inv_norm);
+            for (e, (expert, (positions, samples))) in moe.experts.iter().zip(&shaded).enumerate() {
+                let others: f32 =
+                    trans.iter().enumerate().filter(|&(j, _)| j != e).map(|(_, &t)| t).product();
+                let sample_grads = composite_backward(samples, config.background * others, d_pixel);
+                let d_sigma: Vec<f32> = sample_grads.iter().map(|g| g.d_sigma).collect();
+                let d_color: Vec<Vec3> = sample_grads.iter().map(|g| g.d_color).collect();
+                reference::model_backward(
+                    &expert.model,
+                    positions,
+                    ray.direction,
+                    &d_sigma,
+                    &d_color,
+                    &mut grads[e],
+                );
+            }
+        }
+        for (expert, g) in moe.experts.iter_mut().zip(&grads) {
+            ModelOptimizer::new(adam, &expert.model).step(&mut expert.model, g);
+        }
+
+        for (a, b) in trainer.moe().experts().iter().zip(moe.experts()) {
+            for (pa, pb) in [
+                (a.model.grid().params(), b.model.grid().params()),
+                (a.model.density_mlp().params(), b.model.density_mlp().params()),
+                (a.model.color_mlp().params(), b.model.color_mlp().params()),
+            ] {
+                let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(pa), bits(pb), "expert parameters diverged from the oracle");
+            }
+        }
     }
 
     #[test]

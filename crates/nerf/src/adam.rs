@@ -2,7 +2,6 @@
 
 /// Hyper-parameters for [`Adam`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdamConfig {
     /// Learning rate.
     pub learning_rate: f32,

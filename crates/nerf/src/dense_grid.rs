@@ -11,14 +11,13 @@
 //!
 //! [`Encoding`]: crate::encoding::Encoding
 
-use crate::encoding::Encoding;
+use crate::encoding::{Encoding, EncodingScratch};
 use crate::hash::{cell_corners, dense_index};
 use crate::math::{Aabb, Vec3};
 use rand::Rng;
 
 /// Configuration of a dense voxel grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DenseGridConfig {
     /// Grid resolution per axis (vertices per axis = resolution + 1).
     pub resolution: u32,
@@ -179,30 +178,51 @@ impl Encoding for DenseGrid {
         (1, 0)
     }
 
-    fn interpolate(&self, p: Vec3, out: &mut [f32]) {
-        assert_eq!(out.len(), self.output_dim(), "output buffer size mismatch");
-        out.fill(0.0);
-        let (base, frac) = self.locate(p);
+    fn interpolate_batch(
+        &self,
+        positions: &[Vec3],
+        out: &mut [f32],
+        _scratch: &mut EncodingScratch,
+    ) {
+        self.interpolate_batch_infer(positions, out);
+    }
+
+    /// One direct eight-corner gather per point; a single dense level
+    /// leaves nothing to reorder across the batch.
+    fn interpolate_batch_infer(&self, positions: &[Vec3], out: &mut [f32]) {
         let f = self.config.features_per_vertex;
-        for (i, &corner) in cell_corners(base).iter().enumerate() {
-            let w = Self::corner_weight(frac, i);
-            let slot = dense_index(corner, self.config.resolution) as usize * f;
-            for (o, &v) in out.iter_mut().zip(&self.params[slot..slot + f]) {
-                *o += w * v;
+        assert_eq!(out.len(), positions.len() * f, "output buffer size mismatch");
+        for (&p, row) in positions.iter().zip(out.chunks_exact_mut(f)) {
+            row.fill(0.0);
+            let (base, frac) = self.locate(p);
+            for (i, &corner) in cell_corners(base).iter().enumerate() {
+                let w = Self::corner_weight(frac, i);
+                let slot = dense_index(corner, self.config.resolution) as usize * f;
+                for (o, &v) in row.iter_mut().zip(&self.params[slot..slot + f]) {
+                    *o += w * v;
+                }
             }
         }
     }
 
-    fn backward(&self, p: Vec3, d_out: &[f32], grads: &mut [f32]) {
-        assert_eq!(d_out.len(), self.output_dim(), "gradient buffer size mismatch");
-        assert_eq!(grads.len(), self.params.len(), "parameter gradient size mismatch");
-        let (base, frac) = self.locate(p);
+    fn backward_batch(
+        &self,
+        positions: &[Vec3],
+        d_out: &[f32],
+        grads: &mut [f32],
+        _scratch: &mut EncodingScratch,
+    ) {
         let f = self.config.features_per_vertex;
-        for (i, &corner) in cell_corners(base).iter().enumerate() {
-            let w = Self::corner_weight(frac, i);
-            let slot = dense_index(corner, self.config.resolution) as usize * f;
-            for (g, &d) in grads[slot..slot + f].iter_mut().zip(d_out) {
-                *g += w * d;
+        assert_eq!(d_out.len(), positions.len() * f, "gradient buffer size mismatch");
+        assert_eq!(grads.len(), self.params.len(), "parameter gradient size mismatch");
+        for (&p, d_row) in positions.iter().zip(d_out.chunks_exact(f)) {
+            let (base, frac) = self.locate(p);
+            for (i, &corner) in cell_corners(base).iter().enumerate() {
+                let w = Self::corner_weight(frac, i);
+                let slot = dense_index(corner, self.config.resolution) as usize * f;
+                for (g, &d) in grads[slot..slot + f].iter_mut().zip(d_row) {
+                    *g += w * d;
+                }
             }
         }
     }
@@ -230,6 +250,11 @@ mod tests {
         DenseGridConfig { resolution: 8, features_per_vertex: 3 }
     }
 
+    /// Encodes one point as a batch of one.
+    fn encode(grid: &DenseGrid, p: Vec3, out: &mut [f32]) {
+        grid.interpolate_batch_infer(&[p], out);
+    }
+
     #[test]
     fn config_counts() {
         let c = small();
@@ -249,7 +274,7 @@ mod tests {
         }
         for probe in [Vec3::splat(0.1), Vec3::splat(0.77), Vec3::new(0.0, 1.0, 0.5)] {
             let mut out = vec![0.0; 3];
-            grid.interpolate(probe, &mut out);
+            encode(&grid, probe, &mut out);
             for v in out {
                 assert!((v - 0.25).abs() < 1e-6);
             }
@@ -265,7 +290,7 @@ mod tests {
         grid.params_mut()[idx] = 0.875;
         let p = Vec3::new(2.0 / 8.0, 3.0 / 8.0, 4.0 / 8.0);
         let mut out = vec![0.0; 3];
-        grid.interpolate(p, &mut out);
+        encode(&grid, p, &mut out);
         assert!((out[0] - 0.875).abs() < 1e-5, "vertex sample {}", out[0]);
     }
 
@@ -276,10 +301,10 @@ mod tests {
         let p = Vec3::new(0.41, 0.13, 0.77);
         let d_out = vec![1.0f32, -0.5, 2.0];
         let mut grads = vec![0.0f32; grid.param_count()];
-        grid.backward(p, &d_out, &mut grads);
+        grid.backward_batch(&[p], &d_out, &mut grads, &mut EncodingScratch::new());
         let loss = |g: &DenseGrid| {
             let mut out = vec![0.0; 3];
-            g.interpolate(p, &mut out);
+            encode(g, p, &mut out);
             out[0] - 0.5 * out[1] + 2.0 * out[2]
         };
         let h = 1e-3;
@@ -306,7 +331,7 @@ mod tests {
         let idx = dense_index([0, 0, 0], 8) as usize;
         grid.params_mut()[idx] = 1.0;
         let mut out = vec![0.0; 3];
-        grid.interpolate(Vec3::splat(0.9), &mut out);
+        encode(&grid, Vec3::splat(0.9), &mut out);
         assert!(out.iter().all(|&v| v == 0.0), "distant cell affected: {out:?}");
     }
 
@@ -323,13 +348,13 @@ mod tests {
         // In domain coordinates x scales by 2: world x = 0.125 is
         // vertex 1 of the scoped grid.
         let mut out = [0.0f32];
-        scoped.interpolate(Vec3::new(0.125, 0.0, 0.0), &mut out);
+        encode(&scoped, Vec3::new(0.125, 0.0, 0.0), &mut out);
         assert!((out[0] - 1.0).abs() < 1e-6, "scoped vertex sample {}", out[0]);
         // Queries outside the domain clamp to its boundary.
         let mut edge = [0.0f32];
-        scoped.interpolate(Vec3::new(0.5, 0.0, 0.0), &mut edge);
+        encode(&scoped, Vec3::new(0.5, 0.0, 0.0), &mut edge);
         let mut beyond = [0.0f32];
-        scoped.interpolate(Vec3::new(0.9, 0.0, 0.0), &mut beyond);
+        encode(&scoped, Vec3::new(0.9, 0.0, 0.0), &mut beyond);
         assert_eq!(edge, beyond);
     }
 
@@ -339,8 +364,8 @@ mod tests {
         let grid = DenseGrid::with_random_init(small(), &mut rng);
         let mut a = vec![0.0; 3];
         let mut b = vec![0.0; 3];
-        grid.interpolate(Vec3::new(1.0, 0.5, 0.0), &mut a);
-        grid.interpolate(Vec3::new(7.0, 0.5, -3.0), &mut b);
+        encode(&grid, Vec3::new(1.0, 0.5, 0.0), &mut a);
+        encode(&grid, Vec3::new(7.0, 0.5, -3.0), &mut b);
         assert_eq!(a, b);
     }
 }

@@ -23,9 +23,9 @@ use rand::Rng;
 /// Reusable corner-address and trilinear-weight buffers shared by the
 /// batched encoding kernels.
 ///
-/// [`HashGrid::interpolate_batch`] fills the buffers level-major
+/// [`Encoding::interpolate_batch`] fills the buffers level-major
 /// (entry `(level * n + point) * 8 + corner`) and
-/// [`HashGrid::backward_batch`] reuses them, so the address
+/// [`Encoding::backward_batch`] reuses them, so the address
 /// computation — `locate`, corner enumeration, dense-vs-hash branch —
 /// runs once per (point, level) instead of twice. Keep one scratch per
 /// worker; the kernels resize it only when the batch shape changes.
@@ -87,16 +87,6 @@ fn position_fingerprint(positions: &[Vec3]) -> u64 {
     }
 }
 
-/// Addresses and trilinear weights of the eight corners of the cell
-/// at `base` with fractional position `frac`, in the corner order of
-/// [`cell_corners`].
-///
-/// The eight corner addresses share their per-axis terms, so they are
-/// assembled from three products instead of calling
-/// [`vertex_address`] eight times. Under wrapping arithmetic
-/// `(y+1)·π₂ = y·π₂ + π₂`, so every address is bit-identical to the
-/// scalar `spatial_hash` / `dense_index` result; the weight factors
-/// multiply in exactly the order of the scalar `corner_weight`.
 /// Points staged per block by the fused batched forward pass.
 const ENC_BLOCK: usize = 16;
 
@@ -131,7 +121,7 @@ impl LocateBlock {
     /// Locates up to [`ENC_BLOCK`] points at one level. `q as u32`
     /// truncates exactly like `q.floor() as u32` for the clamped
     /// (non-negative, saturating for NaN) coordinates, so every lane
-    /// is bit-identical to the scalar `locate`.
+    /// is bit-identical to `HashGrid::locate`.
     fn locate(&mut self, pts: &[Vec3], res_f: f32, max_base: u32) {
         for (j, &p) in pts.iter().enumerate() {
             let q = p.clamp(0.0, 1.0) * res_f;
@@ -158,6 +148,16 @@ impl LocateBlock {
     }
 }
 
+/// Addresses and trilinear weights of the eight corners of the cell
+/// at `base` with fractional position `frac`, in the corner order of
+/// [`cell_corners`].
+///
+/// The eight corner addresses share their per-axis terms, so they are
+/// assembled from three products instead of calling
+/// [`vertex_address`] eight times. Under wrapping arithmetic
+/// `(y+1)·π₂ = y·π₂ + π₂`, so every address is bit-identical to the
+/// scalar `spatial_hash` / `dense_index` result; each weight
+/// multiplies as `(wx · wy) · wz`, the order of the scalar oracle.
 #[inline(always)]
 fn corner_addrs_weights(
     base: GridVertex,
@@ -192,9 +192,9 @@ fn corner_addrs_weights(
     let wy = [1.0 - frac.y, frac.y];
     let wz = [1.0 - frac.z, frac.z];
     // The XY outer product is shared between the two Z faces; each
-    // weight is still the scalar `corner_weight`'s `(wx * wy) * wz`
-    // with the same left association, just with the common factor
-    // computed once and in shuffle-free lane order.
+    // weight is still `(wx * wy) * wz` with the same left association,
+    // just with the common factor computed once and in shuffle-free
+    // lane order.
     let wxy = [wx[0] * wy[0], wx[1] * wy[0], wx[0] * wy[1], wx[1] * wy[1]];
     let weights = [
         wxy[0] * wz[0],
@@ -237,67 +237,35 @@ pub trait Encoding: std::fmt::Debug + Send + Sync {
         (0, 0)
     }
 
-    /// Encodes point `p` into `out` (length [`Encoding::output_dim`]).
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `out` has the wrong length.
-    fn interpolate(&self, p: Vec3, out: &mut [f32]);
-
-    /// Scatters `d_out` (gradient w.r.t. the encoded features) into
-    /// `grads` (length [`Encoding::param_count`]).
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic on buffer size mismatches.
-    fn backward(&self, p: Vec3, d_out: &[f32], grads: &mut [f32]);
-
     /// Encodes a batch of points into `out`, point-major: the row of
     /// `positions[i]` is `out[i * output_dim() .. (i + 1) * output_dim()]`.
     ///
-    /// The default implementation loops the scalar
-    /// [`Encoding::interpolate`]. Overrides may batch however they
-    /// like but must stay **bitwise-identical** to that scalar loop —
-    /// the determinism contract the `reference` module's differential
-    /// tests enforce.
+    /// Implementations may leave per-point state in `scratch` for a
+    /// following [`Encoding::backward_batch`] on the same positions.
+    /// Every implementation must stay **bitwise-identical** to the
+    /// scalar oracle in [`crate::reference`] — the determinism contract
+    /// the differential tests enforce.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != positions.len() * output_dim()`.
-    fn interpolate_batch(
-        &self,
-        positions: &[Vec3],
-        out: &mut [f32],
-        _scratch: &mut EncodingScratch,
-    ) {
-        let dim = self.output_dim();
-        assert_eq!(out.len(), positions.len() * dim, "output buffer size mismatch");
-        for (p, row) in positions.iter().zip(out.chunks_exact_mut(dim)) {
-            self.interpolate(*p, row);
-        }
-    }
+    fn interpolate_batch(&self, positions: &[Vec3], out: &mut [f32], scratch: &mut EncodingScratch);
 
     /// Encodes a batch of points into `out` like
     /// [`Encoding::interpolate_batch`], but retains nothing for a
     /// backward pass — the pure-forward variant inference pipelines
-    /// use, needing no scratch. Same bitwise contract: identical to
-    /// looping the scalar [`Encoding::interpolate`].
+    /// use, needing no scratch. Same bitwise results.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != positions.len() * output_dim()`.
-    fn interpolate_batch_infer(&self, positions: &[Vec3], out: &mut [f32]) {
-        let dim = self.output_dim();
-        assert_eq!(out.len(), positions.len() * dim, "output buffer size mismatch");
-        for (p, row) in positions.iter().zip(out.chunks_exact_mut(dim)) {
-            self.interpolate(*p, row);
-        }
-    }
+    fn interpolate_batch_infer(&self, positions: &[Vec3], out: &mut [f32]);
 
     /// Scatters a batch of feature gradients (`d_out`, point-major as
-    /// in [`Encoding::interpolate_batch`]) into `grads`, accumulating
-    /// in point order. Same bitwise contract as the forward batch:
-    /// identical to looping the scalar [`Encoding::backward`].
+    /// in [`Encoding::interpolate_batch`]) into `grads` (length
+    /// [`Encoding::param_count`]), accumulating in point order. Reuses
+    /// whatever a preceding [`Encoding::interpolate_batch`] on the same
+    /// positions left in `scratch`.
     ///
     /// # Panics
     ///
@@ -307,14 +275,8 @@ pub trait Encoding: std::fmt::Debug + Send + Sync {
         positions: &[Vec3],
         d_out: &[f32],
         grads: &mut [f32],
-        _scratch: &mut EncodingScratch,
-    ) {
-        let dim = self.output_dim();
-        assert_eq!(d_out.len(), positions.len() * dim, "gradient buffer size mismatch");
-        for (p, row) in positions.iter().zip(d_out.chunks_exact(dim)) {
-            self.backward(*p, row, grads);
-        }
-    }
+        scratch: &mut EncodingScratch,
+    );
 
     /// Pre-sizes `scratch` for a batch of `n` points so the batched
     /// kernels never grow a buffer inside their per-sample loops.
@@ -342,7 +304,6 @@ pub trait Encoding: std::fmt::Debug + Send + Sync {
 /// assert_eq!(cfg.output_dim(), cfg.levels * cfg.features_per_level);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HashGridConfig {
     /// Number of resolution levels `L`.
     pub levels: usize,
@@ -450,7 +411,6 @@ impl HashGridConfig {
 /// for the memory-subsystem simulator (bank conflicts, Level-2/3
 /// tiling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FeatureAccess {
     /// Grid level of the access.
     pub level: u8,
@@ -518,18 +478,6 @@ impl HashGrid {
         &self.params
     }
 
-    /// Mutable view of the parameter vector (used by the optimizer).
-    #[inline]
-    pub fn params_mut(&mut self) -> &mut [f32] {
-        &mut self.params
-    }
-
-    /// Number of learnable parameters.
-    #[inline]
-    pub fn param_count(&self) -> usize {
-        self.params.len()
-    }
-
     #[inline]
     fn level_offset(&self, level: usize) -> usize {
         level * self.config.table_size() * self.config.features_per_level
@@ -550,80 +498,11 @@ impl HashGrid {
         ([bx, by, bz], frac)
     }
 
-    /// The trilinear weight of corner `i` for fractional position `w`.
-    #[inline]
-    fn corner_weight(frac: Vec3, i: usize) -> f32 {
-        let wx = if i & 1 == 0 { 1.0 - frac.x } else { frac.x };
-        let wy = if i & 2 == 0 { 1.0 - frac.y } else { frac.y };
-        let wz = if i & 4 == 0 { 1.0 - frac.z } else { frac.z };
-        wx * wy * wz
-    }
-
-    /// Encodes point `p` (normalized coordinates) into `out`, which
-    /// must have length [`HashGridConfig::output_dim`].
-    ///
-    /// This is the allocation-free replacement for the deprecated
-    /// [`HashGrid::encode`]: size the buffer once, reuse it per point.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use fusion3d_nerf::encoding::{Encoding, HashGrid, HashGridConfig};
-    /// use fusion3d_nerf::math::Vec3;
-    ///
-    /// let grid = HashGrid::new(HashGridConfig::default());
-    /// let mut features = vec![0.0; grid.config().output_dim()];
-    /// grid.interpolate(Vec3::splat(0.5), &mut features);
-    /// assert_eq!(features.len(), grid.output_dim());
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.config().output_dim()`.
-    pub fn interpolate(&self, p: Vec3, out: &mut [f32]) {
-        assert_eq!(out.len(), self.config.output_dim(), "output buffer size mismatch");
-        let f = self.config.features_per_level;
-        for level in 0..self.config.levels {
-            let (base, frac) = self.locate(level, p);
-            let corners = cell_corners(base);
-            let level_out = &mut out[level * f..(level + 1) * f];
-            level_out.fill(0.0);
-            let offset = self.level_offset(level);
-            for (i, &corner) in corners.iter().enumerate() {
-                let w = Self::corner_weight(frac, i);
-                let addr =
-                    vertex_address(corner, self.resolutions[level], self.config.log2_table_size)
-                        as usize;
-                let slot = offset + addr * f;
-                for (o, &v) in level_out.iter_mut().zip(&self.params[slot..slot + f]) {
-                    *o += w * v;
-                }
-            }
-        }
-    }
-
-    /// Convenience wrapper allocating the output vector.
-    ///
-    /// Migrate to the into-buffer API — see the example on
-    /// [`HashGrid::interpolate`]; batches should use
-    /// [`HashGrid::interpolate_batch_infer`].
-    #[deprecated(note = "allocates a Vec per point; interpolate into a reused buffer or use \
-                interpolate_batch for batches")]
-    pub fn encode(&self, p: Vec3) -> Vec<f32> {
-        // lint: allow(h1): deprecated compatibility shim — hot paths use interpolate_batch
-        let mut out = vec![0.0; self.config.output_dim()];
-        self.interpolate(p, &mut out);
-        out
-    }
-
     /// Fills `scratch` with the corner addresses and trilinear weights
     /// of every (point, level) pair, **level-major**: all points of
-    /// level 0 first, then level 1, and so on. The per-level
-    /// dense-vs-hashed addressing decision is hoisted out of the point
-    /// loop, and the per-axis weight factors are computed once per
-    /// point and combined per corner in exactly the order of the
-    /// scalar `corner_weight`, so downstream gathers/scatters stay
-    /// bitwise-identical to the scalar kernels.
+    /// level 0 first, then level 1, and so on — the layout
+    /// [`Encoding::interpolate_batch`] spills, rebuilt when a backward
+    /// pass is asked about positions the scratch does not describe.
     fn prepare_batch_scratch(&self, positions: &[Vec3], scratch: &mut EncodingScratch) {
         let n = positions.len();
         let levels = self.config.levels;
@@ -646,7 +525,75 @@ impl HashGrid {
         scratch.prepared_fingerprint = position_fingerprint(positions);
     }
 
-    /// One level of the fused f==2 forward pass over the whole batch.
+    /// The batched forward pass, **level-major** so each level's
+    /// feature table stays cache-resident across the whole batch: every
+    /// point of level 0, then level 1, and so on.
+    ///
+    /// With `SPILL`, each level's corner addresses and weights also
+    /// land in its `n * 8`-entry slab of `spill_addrs` /
+    /// `spill_weights` (`point * 8 + corner` within the slab) for a
+    /// later [`Encoding::backward_batch`]; inference passes empty
+    /// slices and skips the stores entirely.
+    fn interpolate_levels<const SPILL: bool>(
+        &self,
+        positions: &[Vec3],
+        out: &mut [f32],
+        spill_addrs: &mut [u32],
+        spill_weights: &mut [f32],
+    ) {
+        let n = positions.len();
+        for level in 0..self.config.levels {
+            let (lo, hi) = if SPILL { (level * n * 8, (level + 1) * n * 8) } else { (0, 0) };
+            let (addrs, weights) = (&mut spill_addrs[lo..hi], &mut spill_weights[lo..hi]);
+            if self.config.features_per_level == 2 {
+                self.interpolate_level_f2::<SPILL>(level, positions, out, addrs, weights);
+            } else {
+                self.interpolate_level::<SPILL>(level, positions, out, addrs, weights);
+            }
+        }
+    }
+
+    /// One level of [`HashGrid::interpolate_levels`] for any number of
+    /// features per level, writing column block `level * F ..` of every
+    /// output row. Kept out of line so the two-feature kernel, which is
+    /// inlined into the same callers, compiles to the same code as when
+    /// it stands alone.
+    #[inline(never)]
+    fn interpolate_level<const SPILL: bool>(
+        &self,
+        level: usize,
+        positions: &[Vec3],
+        out: &mut [f32],
+        spill_addrs: &mut [u32],
+        spill_weights: &mut [f32],
+    ) {
+        let f = self.config.features_per_level;
+        let dim = self.config.output_dim();
+        let res = self.resolutions[level];
+        let dense = level_is_dense(res, self.config.log2_table_size);
+        let mask = (1u32 << self.config.log2_table_size) - 1;
+        let offset = self.level_offset(level);
+        let col = level * f;
+        for (s, &p) in positions.iter().enumerate() {
+            let (base, frac) = self.locate(level, p);
+            let (addrs, weights) = corner_addrs_weights(base, frac, dense, res, mask);
+            if SPILL {
+                spill_addrs[s * 8..s * 8 + 8].copy_from_slice(&addrs);
+                spill_weights[s * 8..s * 8 + 8].copy_from_slice(&weights);
+            }
+            let row = &mut out[s * dim + col..s * dim + col + f];
+            row.fill(0.0);
+            for (&addr, &w) in addrs.iter().zip(&weights) {
+                let slot = offset + addr as usize * f;
+                for (o, &v) in row.iter_mut().zip(&self.params[slot..slot + f]) {
+                    *o += w * v;
+                }
+            }
+        }
+    }
+
+    /// [`HashGrid::interpolate_level`] specialized to two features per
+    /// level, the configuration every shipped model uses.
     ///
     /// Points run through in [`ENC_BLOCK`]-sized blocks: a SoA locate
     /// pass vectorizes the coordinate conversions, then the gather
@@ -660,12 +607,6 @@ impl HashGrid {
     /// already masked; dense levels fit inside the table by
     /// definition) that lets the compiler prove `slot + 1` in bounds
     /// and drop the per-load bounds checks.
-    ///
-    /// With `SPILL`, the corner addresses and weights are also written
-    /// to the level's `spill_addrs` / `spill_weights` slabs (each
-    /// `n * 8` entries, `point * 8 + corner`) for a later
-    /// [`HashGrid::backward_batch`]; inference skips the stores
-    /// entirely.
     fn interpolate_level_f2<const SPILL: bool>(
         &self,
         level: usize,
@@ -751,114 +692,77 @@ impl HashGrid {
         }
     }
 
-    /// Batched [`HashGrid::interpolate`] for inference: encodes
-    /// `positions` into `out` (point-major rows of `output_dim`
-    /// features), iterating **level-major** so each level's feature
-    /// table stays cache-resident across the whole batch. Unlike
-    /// [`HashGrid::interpolate_batch`], nothing is retained for a
-    /// backward pass — the pure-forward counterpart of the scalar
-    /// kernel, used by the render pipeline.
-    ///
-    /// Bitwise-identical to looping the scalar kernel over the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != positions.len() * output_dim()`.
-    pub fn interpolate_batch_infer(&self, positions: &[Vec3], out: &mut [f32]) {
-        let dim = self.config.output_dim();
-        let n = positions.len();
-        assert_eq!(out.len(), n * dim, "output buffer size mismatch");
-        if self.config.features_per_level == 2 {
+    /// Records the table accesses encoding `positions` performs, for
+    /// the memory-subsystem simulator. Appends `8 * levels` entries per
+    /// point to `trace`, point-major, then level, then corner.
+    pub fn record_accesses(&self, positions: &[Vec3], trace: &mut Vec<FeatureAccess>) {
+        for &p in positions {
             for level in 0..self.config.levels {
-                self.interpolate_level_f2::<false>(level, positions, out, &mut [], &mut []);
-            }
-        } else {
-            for (p, row) in positions.iter().zip(out.chunks_exact_mut(dim)) {
-                self.interpolate(*p, row);
+                let (base, _) = self.locate(level, p);
+                for (i, &corner) in cell_corners(base).iter().enumerate() {
+                    trace.push(FeatureAccess {
+                        level: level as u8,
+                        corner: i as u8,
+                        address: vertex_address(
+                            corner,
+                            self.resolutions[level],
+                            self.config.log2_table_size,
+                        ),
+                    });
+                }
             }
         }
     }
+}
 
-    /// Batched [`HashGrid::interpolate`]: encodes `positions` into
-    /// `out` (point-major rows of `output_dim` features), iterating
-    /// **level-major** so each level's feature table stays
-    /// cache-resident across the whole batch. The corner addresses and
-    /// weights are left in `scratch` for a following
-    /// [`HashGrid::backward_batch`] on the same positions; inference
-    /// paths that never run a backward should use
-    /// [`HashGrid::interpolate_batch_infer`] instead.
-    ///
-    /// Bitwise-identical to looping the scalar kernel over the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != positions.len() * output_dim()`.
-    pub fn interpolate_batch(
+impl Encoding for HashGrid {
+    fn output_dim(&self) -> usize {
+        self.config.output_dim()
+    }
+
+    fn gather_locality(&self) -> (usize, usize) {
+        let dense = self
+            .resolutions
+            .iter()
+            .filter(|&&res| level_is_dense(res, self.config.log2_table_size))
+            .count();
+        (dense, self.config.levels - dense)
+    }
+
+    /// One fused level-major pass: the corner addresses and weights
+    /// are computed in registers, spilled to `scratch` for a later
+    /// [`Encoding::backward_batch`], and consumed by the gather
+    /// immediately — the forward path never reads them back.
+    fn interpolate_batch(
         &self,
         positions: &[Vec3],
         out: &mut [f32],
         scratch: &mut EncodingScratch,
     ) {
-        let dim = self.config.output_dim();
         let n = positions.len();
-        assert_eq!(out.len(), n * dim, "output buffer size mismatch");
+        assert_eq!(out.len(), n * self.config.output_dim(), "output buffer size mismatch");
         let levels = self.config.levels;
         scratch.resize_for(n, levels);
-        let f = self.config.features_per_level;
-        // One fused level-major pass: the corner addresses and weights
-        // are computed in registers, spilled to `scratch` for a later
-        // `backward_batch`, and consumed by the gather immediately —
-        // the forward path never reads them back from memory.
-        for level in 0..levels {
-            let res = self.resolutions[level];
-            let dense = level_is_dense(res, self.config.log2_table_size);
-            let mask = (1u32 << self.config.log2_table_size) - 1;
-            let offset = self.level_offset(level);
-            let level_base = level * n * 8;
-            let col = level * f;
-            if f == 2 {
-                self.interpolate_level_f2::<true>(
-                    level,
-                    positions,
-                    out,
-                    &mut scratch.addrs[level_base..level_base + n * 8],
-                    &mut scratch.weights[level_base..level_base + n * 8],
-                );
-            } else {
-                for (s, &p) in positions.iter().enumerate() {
-                    let (base, frac) = self.locate(level, p);
-                    let (addrs, weights) = corner_addrs_weights(base, frac, dense, res, mask);
-                    let entry = level_base + s * 8;
-                    scratch.addrs[entry..entry + 8].copy_from_slice(&addrs);
-                    scratch.weights[entry..entry + 8].copy_from_slice(&weights);
-                    let row = &mut out[s * dim + col..s * dim + col + f];
-                    row.fill(0.0);
-                    for (&addr, &w) in addrs.iter().zip(&weights) {
-                        let slot = offset + addr as usize * f;
-                        for (o, &v) in row.iter_mut().zip(&self.params[slot..slot + f]) {
-                            *o += w * v;
-                        }
-                    }
-                }
-            }
-        }
+        self.interpolate_levels::<true>(positions, out, &mut scratch.addrs, &mut scratch.weights);
         scratch.prepared_points = n;
         scratch.prepared_levels = levels;
         scratch.prepared_fingerprint = position_fingerprint(positions);
     }
 
-    /// Batched [`HashGrid::backward`]: scatters point-major feature
-    /// gradients `d_out` into `grads`, level-major, reusing the corner
-    /// addresses/weights a preceding [`HashGrid::interpolate_batch`]
-    /// left in `scratch` (they are recomputed if the scratch does not
-    /// match `positions`). Accumulation order per table slot equals
-    /// the scalar loop's — point-ascending, corner-ascending — so the
-    /// result is bitwise-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics on buffer size mismatches.
-    pub fn backward_batch(
+    /// The same level-major pass as [`Encoding::interpolate_batch`]
+    /// without the corner spill — the render pipeline's gather.
+    fn interpolate_batch_infer(&self, positions: &[Vec3], out: &mut [f32]) {
+        let n = positions.len();
+        assert_eq!(out.len(), n * self.config.output_dim(), "output buffer size mismatch");
+        self.interpolate_levels::<false>(positions, out, &mut [], &mut []);
+    }
+
+    /// Level-major scatter reusing the corner addresses/weights a
+    /// preceding [`Encoding::interpolate_batch`] left in `scratch`
+    /// (recomputed if the scratch does not match `positions`).
+    /// Accumulation order per table slot is point-ascending,
+    /// corner-ascending.
+    fn backward_batch(
         &self,
         positions: &[Vec3],
         d_out: &[f32],
@@ -913,116 +817,20 @@ impl HashGrid {
         }
     }
 
-    /// Backward pass: scatters `d_out` (gradient w.r.t. the encoded
-    /// features, length `output_dim`) into `grads` (gradient buffer of
-    /// length [`HashGrid::param_count`]) using the same trilinear
-    /// weights as the forward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics on buffer size mismatches.
-    pub fn backward(&self, p: Vec3, d_out: &[f32], grads: &mut [f32]) {
-        assert_eq!(d_out.len(), self.config.output_dim(), "gradient buffer size mismatch");
-        assert_eq!(grads.len(), self.params.len(), "parameter gradient size mismatch");
-        let f = self.config.features_per_level;
-        for level in 0..self.config.levels {
-            let (base, frac) = self.locate(level, p);
-            let corners = cell_corners(base);
-            let d_level = &d_out[level * f..(level + 1) * f];
-            let offset = self.level_offset(level);
-            for (i, &corner) in corners.iter().enumerate() {
-                let w = Self::corner_weight(frac, i);
-                let addr =
-                    vertex_address(corner, self.resolutions[level], self.config.log2_table_size)
-                        as usize;
-                let slot = offset + addr * f;
-                for (g, &d) in grads[slot..slot + f].iter_mut().zip(d_level) {
-                    *g += w * d;
-                }
-            }
-        }
-    }
-
-    /// Records the table accesses the encoding of `p` performs, for
-    /// the memory-subsystem simulator. Appends `8 * levels` entries to
-    /// `trace`.
-    pub fn record_accesses(&self, p: Vec3, trace: &mut Vec<FeatureAccess>) {
-        for level in 0..self.config.levels {
-            let (base, _) = self.locate(level, p);
-            for (i, &corner) in cell_corners(base).iter().enumerate() {
-                trace.push(FeatureAccess {
-                    level: level as u8,
-                    corner: i as u8,
-                    address: vertex_address(
-                        corner,
-                        self.resolutions[level],
-                        self.config.log2_table_size,
-                    ),
-                });
-            }
-        }
-    }
-}
-
-impl Encoding for HashGrid {
-    fn output_dim(&self) -> usize {
-        self.config.output_dim()
-    }
-
-    fn gather_locality(&self) -> (usize, usize) {
-        let dense = self
-            .resolutions
-            .iter()
-            .filter(|&&res| level_is_dense(res, self.config.log2_table_size))
-            .count();
-        (dense, self.config.levels - dense)
-    }
-
-    fn interpolate(&self, p: Vec3, out: &mut [f32]) {
-        HashGrid::interpolate(self, p, out);
-    }
-
-    fn backward(&self, p: Vec3, d_out: &[f32], grads: &mut [f32]) {
-        HashGrid::backward(self, p, d_out, grads);
-    }
-
-    fn interpolate_batch(
-        &self,
-        positions: &[Vec3],
-        out: &mut [f32],
-        scratch: &mut EncodingScratch,
-    ) {
-        HashGrid::interpolate_batch(self, positions, out, scratch);
-    }
-
-    fn interpolate_batch_infer(&self, positions: &[Vec3], out: &mut [f32]) {
-        HashGrid::interpolate_batch_infer(self, positions, out);
-    }
-
-    fn backward_batch(
-        &self,
-        positions: &[Vec3],
-        d_out: &[f32],
-        grads: &mut [f32],
-        scratch: &mut EncodingScratch,
-    ) {
-        HashGrid::backward_batch(self, positions, d_out, grads, scratch);
-    }
-
     fn reserve_batch_scratch(&self, scratch: &mut EncodingScratch, n: usize) {
         scratch.resize_for(n, self.config.levels);
     }
 
     fn param_count(&self) -> usize {
-        HashGrid::param_count(self)
+        self.params.len()
     }
 
     fn params(&self) -> &[f32] {
-        HashGrid::params(self)
+        &self.params
     }
 
     fn params_mut(&mut self) -> &mut [f32] {
-        HashGrid::params_mut(self)
+        &mut self.params
     }
 }
 
@@ -1042,11 +850,10 @@ mod tests {
         }
     }
 
-    /// Allocating per-point encode, replacing the deprecated
-    /// `HashGrid::encode` in tests.
+    /// Encodes one point as a batch of one.
     fn encode(grid: &HashGrid, p: Vec3) -> Vec<f32> {
         let mut out = vec![0.0; grid.config().output_dim()];
-        grid.interpolate(p, &mut out);
+        grid.interpolate_batch_infer(&[p], &mut out);
         out
     }
 
@@ -1143,7 +950,7 @@ mod tests {
         // Loss = sum of outputs; dL/dout = ones.
         let d_out = vec![1.0f32; dim];
         let mut grads = vec![0.0f32; grid.param_count()];
-        grid.backward(p, &d_out, &mut grads);
+        grid.backward_batch(&[p], &d_out, &mut grads, &mut EncodingScratch::new());
 
         // Check a handful of parameters with central differences.
         let mut checked = 0;
@@ -1172,7 +979,7 @@ mod tests {
     fn access_trace_has_expected_shape() {
         let grid = HashGrid::new(small_config());
         let mut trace = Vec::new();
-        grid.record_accesses(Vec3::splat(0.4), &mut trace);
+        grid.record_accesses(&[Vec3::splat(0.4)], &mut trace);
         assert_eq!(trace.len(), 8 * grid.config().levels);
         for a in &trace {
             assert!((a.level as usize) < grid.config().levels);
@@ -1192,6 +999,6 @@ mod tests {
     fn interpolate_rejects_wrong_buffer() {
         let grid = HashGrid::new(small_config());
         let mut out = vec![0.0; 3];
-        grid.interpolate(Vec3::ZERO, &mut out);
+        grid.interpolate_batch_infer(&[Vec3::ZERO], &mut out);
     }
 }

@@ -67,6 +67,9 @@ pub enum DecodeError {
     UnsupportedVersion(u16),
     /// Unknown precision tag.
     BadPrecision(u8),
+    /// The occupancy resolution is zero (a grid needs at least one
+    /// cell per axis).
+    BadOccupancyResolution(u32),
     /// The stored parameter counts do not match the target model.
     ShapeMismatch {
         /// Expected (encoding, density, color) counts.
@@ -83,6 +86,9 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadMagic => write!(f, "not a Fusion-3D model container"),
             DecodeError::UnsupportedVersion(v) => write!(f, "unsupported container version {v}"),
             DecodeError::BadPrecision(t) => write!(f, "unknown precision tag {t}"),
+            DecodeError::BadOccupancyResolution(r) => {
+                write!(f, "occupancy resolution {r} is not a valid grid size")
+            }
             DecodeError::ShapeMismatch { expected, found } => {
                 write!(f, "parameter shape mismatch: expected {expected:?}, found {found:?}")
             }
@@ -194,7 +200,7 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.pos + n > self.data.len() {
+        if n > self.data.len() - self.pos {
             return Err(DecodeError::Truncated);
         }
         let slice = &self.data[self.pos..self.pos + n];
@@ -284,44 +290,52 @@ pub fn decode_model_into<E: Encoding>(
     data: &[u8],
     model: &mut NerfModel<E>,
 ) -> Result<OccupancyGrid, DecodeError> {
-    let mut r = Reader { data, pos: 0 };
-    if r.take(4)? != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(DecodeError::UnsupportedVersion(version));
-    }
-    let precision = match r.take(2)?[0] {
-        0 => Precision::F32,
-        1 => Precision::F16,
-        t => return Err(DecodeError::BadPrecision(t)),
-    };
-    let _geo = r.u32()?;
-    let counts = (r.u64()?, r.u64()?, r.u64()?);
+    let header = peek_header(data)?;
     let expected = (
         model.grid().param_count() as u64,
         model.density_mlp().param_count() as u64,
         model.color_mlp().param_count() as u64,
     );
-    if counts != expected {
-        return Err(DecodeError::ShapeMismatch { expected, found: counts });
+    if header.param_counts != expected {
+        return Err(DecodeError::ShapeMismatch { expected, found: header.param_counts });
     }
-    let resolution = r.u32()?;
+    let mut r = Reader { data, pos: HEADER_PREFIX_BYTES };
     let threshold = r.f32()?;
+    // Validate the resolution against the bytes that follow before
+    // allocating anything sized by it: a crafted header must not
+    // reach `OccupancyGrid::new` with a zero or enormous resolution.
+    let resolution = header.occupancy_resolution;
+    if resolution == 0 {
+        return Err(DecodeError::BadOccupancyResolution(resolution));
+    }
+    let bitmap_len = bitmap_bytes(resolution)
+        .and_then(|len| usize::try_from(len).ok())
+        .ok_or(DecodeError::Truncated)?;
+    let bitmap = r.take(bitmap_len)?;
     let mut occupancy = OccupancyGrid::new(resolution, threshold.max(0.0));
-    let cells = occupancy.cell_count();
-    let bitmap = r.take(cells.div_ceil(8))?;
-    for cell in 0..cells {
+    for cell in 0..occupancy.cell_count() {
         if bitmap[cell / 8] >> (cell % 8) & 1 == 1 {
             occupancy.set_cell(cell, true);
         }
     }
-    r.params(model.grid_mut().params_mut(), precision)?;
-    r.params(model.density_mlp_mut().params_mut(), precision)?;
-    r.params(model.color_mlp_mut().params_mut(), precision)?;
+    r.params(model.grid_mut().params_mut(), header.precision)?;
+    r.params(model.density_mlp_mut().params_mut(), header.precision)?;
+    r.params(model.color_mlp_mut().params_mut(), header.precision)?;
     Ok(occupancy)
 }
+
+/// Bytes of the packed occupancy bitmap for a grid of `resolution`
+/// cells per axis (`ceil(resolution³ / 8)`), or `None` when the cube
+/// overflows `u64`.
+fn bitmap_bytes(resolution: u32) -> Option<u64> {
+    let cells = (resolution as u64).checked_pow(3)?;
+    Some(cells.div_ceil(8))
+}
+
+/// Bytes [`peek_header`] reads: magic, version, precision, reserved,
+/// geo features, three parameter counts and the occupancy resolution.
+/// The occupancy threshold follows them.
+const HEADER_PREFIX_BYTES: usize = 40;
 
 /// The container size in bytes for a model at a given precision,
 /// without encoding it.
@@ -366,10 +380,14 @@ impl ContainerHeader {
 
     /// Exact byte size of a well-formed container with this header —
     /// the unit the registry's LRU byte budget is charged in.
+    /// Saturates at `u64::MAX` for headers no container could match,
+    /// so a crafted resolution or count can never wrap into a small
+    /// price.
     pub fn container_bytes(&self) -> u64 {
-        let cells = (self.occupancy_resolution as u64).pow(3);
-        44 + cells.div_ceil(8)
-            + self.param_count().saturating_mul(self.precision.bytes_per_param() as u64)
+        let bitmap = bitmap_bytes(self.occupancy_resolution).unwrap_or(u64::MAX);
+        44u64.saturating_add(bitmap).saturating_add(
+            self.param_count().saturating_mul(self.precision.bytes_per_param() as u64),
+        )
     }
 }
 
@@ -402,9 +420,10 @@ pub fn peek_header(data: &[u8]) -> Result<ContainerHeader, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::KernelScratch;
     use crate::encoding::HashGridConfig;
     use crate::math::Vec3;
-    use crate::model::{ModelConfig, PointContext};
+    use crate::model::ModelConfig;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -485,22 +504,22 @@ mod tests {
         let bytes = encode_model(&model, &occ, Precision::F16);
         let mut restored = test_model(5);
         decode_model_into(&bytes, &mut restored).expect("decode");
-        let mut ctx = PointContext::new();
-        for probe in 0..16 {
-            let p = Vec3::new(
-                (probe as f32 * 0.137).fract(),
-                (probe as f32 * 0.311).fract(),
-                (probe as f32 * 0.539).fract(),
-            );
-            let a = model.forward(p, Vec3::Z, &mut ctx);
-            let b = restored.forward(p, Vec3::Z, &mut ctx);
-            assert!(
-                (a.sigma - b.sigma).abs() < 0.02 * (1.0 + a.sigma),
-                "sigma drifted: {} vs {}",
-                a.sigma,
-                b.sigma
-            );
-            assert!((a.color - b.color).length() < 0.01, "color drifted");
+        let probes: Vec<Vec3> = (0..16)
+            .map(|probe| {
+                Vec3::new(
+                    (probe as f32 * 0.137).fract(),
+                    (probe as f32 * 0.311).fract(),
+                    (probe as f32 * 0.539).fract(),
+                )
+            })
+            .collect();
+        let (mut a, mut b) = (KernelScratch::new(), KernelScratch::new());
+        model.forward_batch_infer(&probes, Vec3::Z, &mut a);
+        restored.forward_batch_infer(&probes, Vec3::Z, &mut b);
+        for s in 0..probes.len() {
+            let (sa, sb) = (a.sigma()[s], b.sigma()[s]);
+            assert!((sa - sb).abs() < 0.02 * (1.0 + sa), "sigma drifted: {sa} vs {sb}");
+            assert!((a.color()[s] - b.color()[s]).length() < 0.01, "color drifted");
         }
     }
 
@@ -546,6 +565,30 @@ mod tests {
             decode_model_into(&bytes, &mut other),
             Err(DecodeError::ShapeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn crafted_occupancy_resolutions_return_errors() {
+        let bytes = encode_model(&test_model(10), &test_occupancy(), Precision::F32);
+        for (resolution, expected) in [
+            (0u32, DecodeError::BadOccupancyResolution(0)),
+            (3000, DecodeError::Truncated),
+            (u32::MAX, DecodeError::Truncated),
+        ] {
+            // The resolution is the header's last field.
+            let mut crafted = bytes.clone();
+            crafted[HEADER_PREFIX_BYTES - 4..HEADER_PREFIX_BYTES]
+                .copy_from_slice(&resolution.to_le_bytes());
+            let mut model = test_model(11);
+            assert_eq!(decode_model_into(&crafted, &mut model).err(), Some(expected));
+            let header = peek_header(&crafted).expect("header");
+            assert_eq!(header.occupancy_resolution, resolution);
+            // The budget price is the size the header claims, saturated
+            // at u64::MAX instead of wrapping.
+            let claimed =
+                44 + (resolution as u128).pow(3).div_ceil(8) + header.param_count() as u128 * 4;
+            assert_eq!(header.container_bytes() as u128, claimed.min(u64::MAX as u128));
+        }
     }
 
     #[test]

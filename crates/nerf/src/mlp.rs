@@ -2,15 +2,14 @@
 //!
 //! Instant-NGP pairs the hash encoding with deliberately tiny MLPs: a
 //! one-hidden-layer density network and a two-hidden-layer color
-//! network. This module provides a from-scratch [`Mlp`] with explicit
-//! forward and backward passes and a flat parameter layout that the
-//! optimizer and the INT8 quantization experiments operate on.
+//! network. This module provides a from-scratch [`Mlp`] with batched
+//! forward and backward GEMM kernels and a flat parameter layout that
+//! the optimizer and the INT8 quantization experiments operate on.
 
 use rand::Rng;
 
 /// Element-wise activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Activation {
     /// Identity.
     None,
@@ -58,13 +57,13 @@ impl Activation {
 /// # Examples
 ///
 /// ```
-/// use fusion3d_nerf::mlp::{Activation, Mlp, MlpCache};
+/// use fusion3d_nerf::mlp::{Activation, Mlp, MlpBatchCache};
 /// use rand::{rngs::SmallRng, SeedableRng};
 ///
 /// let mut rng = SmallRng::seed_from_u64(0);
 /// let mlp = Mlp::new(&[4, 8, 2], Activation::Relu, Activation::None, &mut rng);
-/// let mut cache = MlpCache::for_mlp(&mlp);
-/// let out = mlp.forward(&[0.1, -0.2, 0.3, 0.4], &mut cache);
+/// let mut cache = MlpBatchCache::new();
+/// let out = mlp.forward_batch(&[0.1, -0.2, 0.3, 0.4], 1, &mut cache);
 /// assert_eq!(out.len(), 2);
 /// ```
 #[derive(Debug, Clone)]
@@ -73,40 +72,6 @@ pub struct Mlp {
     params: Vec<f32>,
     hidden_activation: Activation,
     output_activation: Activation,
-}
-
-/// Per-sample forward-pass activations retained for the backward pass.
-///
-/// Reuse one cache per worker to avoid reallocation; `forward` resizes
-/// it as needed.
-#[derive(Debug, Clone, Default)]
-pub struct MlpCache {
-    /// `activations[0]` is the input; `activations[i]` the output of
-    /// layer `i - 1` *after* its activation function.
-    activations: Vec<Vec<f32>>,
-}
-
-impl MlpCache {
-    /// Creates an empty cache sized lazily on first use.
-    pub fn new() -> Self {
-        MlpCache::default()
-    }
-
-    /// Creates a cache pre-sized for `mlp`.
-    pub fn for_mlp(mlp: &Mlp) -> Self {
-        // lint: allow(h1): one-time cache construction, not a per-sample loop
-        MlpCache { activations: mlp.dims.iter().map(|&d| vec![0.0; d]).collect() }
-    }
-
-    /// The network output stored by the last `forward` call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no forward pass has populated the cache.
-    pub fn output(&self) -> &[f32] {
-        // lint: allow(p1): documented panic — reading before forward() is a caller bug
-        self.activations.last().expect("cache is empty; call forward first")
-    }
 }
 
 /// Structure-of-arrays forward/backward scratch for the batched MLP
@@ -128,6 +93,8 @@ pub struct MlpBatchCache {
     /// Column-major (`[k][o]`) copy of the current layer's weights, so
     /// the forward GEMM's inner loop loads one contiguous weight row
     /// per input feature instead of [`OUTPUT_TILE`] strided values.
+    /// Only full [`SAMPLE_TILE`] tiles read it, so batches smaller than
+    /// one tile neither size nor fill it.
     wt: Vec<f32>,
     batch: usize,
 }
@@ -172,9 +139,11 @@ impl MlpBatchCache {
         if self.d_prev.len() != n * max_dim {
             self.d_prev.resize(n * max_dim, 0.0);
         }
-        let max_weights = dims.windows(2).map(|w| w[0] * w[1]).max().unwrap_or(0);
-        if self.wt.len() != max_weights {
-            self.wt.resize(max_weights, 0.0);
+        if n >= SAMPLE_TILE {
+            let max_weights = dims.windows(2).map(|w| w[0] * w[1]).max().unwrap_or(0);
+            if self.wt.len() != max_weights {
+                self.wt.resize(max_weights, 0.0);
+            }
         }
         self.batch = n;
     }
@@ -340,131 +309,6 @@ impl Mlp {
         }
     }
 
-    /// Runs the forward pass, retaining activations in `cache`, and
-    /// returns the output slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.input_dim()`.
-    pub fn forward<'c>(&self, input: &[f32], cache: &'c mut MlpCache) -> &'c [f32] {
-        assert_eq!(input.len(), self.input_dim(), "input size mismatch");
-        // lint: allow(h1): scalar reference path — hot loops use forward_batch
-        cache.activations.resize_with(self.dims.len(), Vec::new);
-        cache.activations[0].clear();
-        cache.activations[0].extend_from_slice(input);
-        for layer in 0..self.layer_count() {
-            let (in_dim, out_dim) = (self.dims[layer], self.dims[layer + 1]);
-            let off = self.layer_offset(layer);
-            let weights = &self.params[off..off + in_dim * out_dim];
-            let biases = &self.params[off + in_dim * out_dim..off + in_dim * out_dim + out_dim];
-            let act = self.activation_for_layer(layer);
-            // Split the borrow: read activations[layer], write
-            // activations[layer + 1].
-            let (head, tail) = cache.activations.split_at_mut(layer + 1);
-            let x = &head[layer];
-            let y = &mut tail[0];
-            y.clear();
-            y.reserve(out_dim);
-            for o in 0..out_dim {
-                let row = &weights[o * in_dim..(o + 1) * in_dim];
-                let mut acc = biases[o];
-                for (w, v) in row.iter().zip(x.iter()) {
-                    acc += w * v;
-                }
-                // lint: allow(h2): scalar reference path pushes into
-                // reserved capacity; hot loops use forward_batch
-                y.push(act.apply(acc));
-            }
-        }
-        cache.output()
-    }
-
-    /// Runs the backward pass for the sample whose activations are in
-    /// `cache`.
-    ///
-    /// * `d_output` — gradient of the loss w.r.t. the network output
-    ///   (post-activation).
-    /// * `d_input` — filled with the gradient w.r.t. the input
-    ///   (post-activation of the encoding); must have length
-    ///   `input_dim`.
-    /// * `grads` — flat gradient accumulator with the same layout as
-    ///   [`Mlp::params`]; gradients are *added*, enabling batched
-    ///   accumulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on size mismatches or if `cache` does not hold a forward
-    /// pass for this network.
-    pub fn backward(
-        &self,
-        cache: &MlpCache,
-        d_output: &[f32],
-        d_input: &mut [f32],
-        grads: &mut [f32],
-    ) {
-        assert_eq!(d_output.len(), self.output_dim(), "output gradient size mismatch");
-        assert_eq!(d_input.len(), self.input_dim(), "input gradient size mismatch");
-        assert_eq!(grads.len(), self.params.len(), "parameter gradient size mismatch");
-        assert_eq!(cache.activations.len(), self.dims.len(), "cache does not match network");
-
-        // delta = dL/d(pre-activation) of the current layer.
-        let mut delta: Vec<f32> = d_output
-            .iter()
-            .zip(cache.activations[self.layer_count()].iter())
-            .map(|(&d, &y)| {
-                d * self.activation_for_layer(self.layer_count() - 1).derivative_from_output(y)
-            })
-            // lint: allow(h2): scalar reference path — hot loops use
-            // backward_batch
-            .collect();
-
-        for layer in (0..self.layer_count()).rev() {
-            let (in_dim, out_dim) = (self.dims[layer], self.dims[layer + 1]);
-            let off = self.layer_offset(layer);
-            let x = &cache.activations[layer];
-            assert_eq!(x.len(), in_dim, "cached activation size mismatch");
-
-            // Weight and bias gradients.
-            {
-                let (gw, gb) =
-                    grads[off..off + in_dim * out_dim + out_dim].split_at_mut(in_dim * out_dim);
-                for o in 0..out_dim {
-                    let d = delta[o];
-                    let row = &mut gw[o * in_dim..(o + 1) * in_dim];
-                    for (g, &v) in row.iter_mut().zip(x.iter()) {
-                        *g += d * v;
-                    }
-                    gb[o] += d;
-                }
-            }
-
-            // Propagate to the previous layer (or the input).
-            let weights = &self.params[off..off + in_dim * out_dim];
-            // lint: allow(h1): scalar reference path — hot loops use backward_batch
-            let mut d_prev = vec![0.0f32; in_dim];
-            for o in 0..out_dim {
-                let d = delta[o];
-                let row = &weights[o * in_dim..(o + 1) * in_dim];
-                for (dp, &w) in d_prev.iter_mut().zip(row.iter()) {
-                    *dp += d * w;
-                }
-            }
-
-            if layer == 0 {
-                d_input.copy_from_slice(&d_prev);
-            } else {
-                let act = self.activation_for_layer(layer - 1);
-                delta = d_prev
-                    .iter()
-                    .zip(cache.activations[layer].iter())
-                    .map(|(&d, &y)| d * act.derivative_from_output(y))
-                    // lint: allow(h2): scalar reference path — hot
-                    // loops use backward_batch
-                    .collect();
-            }
-        }
-    }
-
     /// Runs the forward pass for a sample-major batch of `n` inputs
     /// (`inputs[s * input_dim() ..]` is sample `s`), retaining
     /// activations in `cache`, and returns the sample-major output
@@ -473,9 +317,9 @@ impl Mlp {
     /// Layers are evaluated with a blocked GEMM
     /// (`SAMPLE_TILE` × `OUTPUT_TILE` register tiles) whose inner
     /// reduction walks input features in ascending order per output
-    /// element — **bitwise-identical** to calling [`Mlp::forward`] on
-    /// each sample, which is the determinism contract the `reference`
-    /// module's differential tests enforce.
+    /// element, starting from the bias — **bitwise-identical** to the
+    /// per-sample loop of [`crate::reference::mlp_forward`], the
+    /// determinism contract the differential tests enforce.
     ///
     /// # Panics
     ///
@@ -497,14 +341,20 @@ impl Mlp {
             let act = self.activation_for_layer(layer);
             // Re-lay the weights column-major so the GEMM's inner loop
             // reads them contiguously; the copy is amortized over the
-            // whole batch. Transposition reorders loads, not sums, so
-            // results stay bit-identical.
-            let wt = &mut cache.wt[..in_dim * out_dim];
-            for (o, row) in weights.chunks_exact(in_dim).enumerate() {
-                for (k, &w) in row.iter().enumerate() {
-                    wt[k * out_dim + o] = w;
+            // batch's full sample tiles, the only code that reads it.
+            // Transposition reorders loads, not sums, so results stay
+            // bit-identical.
+            let wt: &[f32] = if n >= SAMPLE_TILE {
+                let wt = &mut cache.wt[..in_dim * out_dim];
+                for (o, row) in weights.chunks_exact(in_dim).enumerate() {
+                    for (k, &w) in row.iter().enumerate() {
+                        wt[k * out_dim + o] = w;
+                    }
                 }
-            }
+                wt
+            } else {
+                &[]
+            };
             // Split the borrow: read activations[layer], write
             // activations[layer + 1].
             let (head, tail) = cache.activations.split_at_mut(layer + 1);
@@ -514,7 +364,7 @@ impl Mlp {
     }
 
     /// Runs the backward pass for the batch whose activations are in
-    /// `cache`, the batched counterpart of [`Mlp::backward`].
+    /// `cache`.
     ///
     /// * `d_output` — sample-major gradient w.r.t. the network output
     ///   (`batch * output_dim()` values).
@@ -525,7 +375,7 @@ impl Mlp {
     ///
     /// Every gradient element accumulates its per-sample contributions
     /// in ascending sample order, so the result is bitwise-identical
-    /// to looping [`Mlp::backward`] over the samples.
+    /// to the per-sample loop of [`crate::reference::mlp_backward`].
     ///
     /// # Panics
     ///
@@ -598,12 +448,12 @@ impl Mlp {
 /// w[o][k] · x[s][k])` over a sample-major batch.
 ///
 /// [`SAMPLE_TILE`] × [`OUTPUT_TILE`] register tiles give the CPU
-/// thirty-two independent accumulation chains instead of the scalar
-/// path's one, and `wt` (the column-major copy of `weights` the
-/// caller maintains) makes the inner loop's weight loads contiguous.
-/// The `k` reduction stays in ascending order for every `(s, o)`
-/// element — the per-element addition sequence, and so the bits,
-/// match [`Mlp::forward`] exactly.
+/// thirty-two independent accumulation chains instead of one, and `wt`
+/// (the column-major copy of `weights` the caller maintains; empty
+/// when `n` is below one sample tile) makes the inner loop's weight
+/// loads contiguous. The `k` reduction stays in ascending order for
+/// every `(s, o)` element, so the per-element addition sequence — and
+/// the bits — match a per-sample evaluation exactly.
 #[allow(clippy::too_many_arguments)] // flat GEMM signature: dims + both weight layouts
 fn gemm_bias_act(
     x: &[f32],
@@ -618,7 +468,8 @@ fn gemm_bias_act(
 ) {
     debug_assert!(x.len() >= n * in_dim, "x holds n × in_dim inputs");
     debug_assert!(y.len() >= n * out_dim, "y holds n × out_dim outputs");
-    debug_assert!(weights.len() >= out_dim * in_dim && wt.len() >= in_dim * out_dim);
+    debug_assert!(weights.len() >= out_dim * in_dim);
+    debug_assert!(n < SAMPLE_TILE || wt.len() >= in_dim * out_dim);
     debug_assert!(biases.len() >= out_dim);
     let s_full = n - n % SAMPLE_TILE;
     let o_full = out_dim - out_dim % OUTPUT_TILE;
@@ -680,10 +531,9 @@ fn gemm_bias_act(
 ///
 /// Each gradient element is read, accumulated over samples in
 /// ascending order, and written back — exactly the addition sequence
-/// the scalar path produces when it walks one sample at a time, so
-/// the bits match [`Mlp::backward`] looped over the batch. The
-/// [`OUTPUT_TILE`] × [`INPUT_TILE`] tiling only widens the number of
-/// concurrent accumulation chains.
+/// a walk over one sample at a time produces. The [`OUTPUT_TILE`] ×
+/// [`INPUT_TILE`] tiling only widens the number of concurrent
+/// accumulation chains.
 fn grad_gemm(
     delta: &[f32],
     x: &[f32],
@@ -758,8 +608,7 @@ fn grad_gemm(
 }
 
 /// Input-gradient GEMM: `d_prev[s][i] = Σ_o delta[s][o] · w[o][i]`,
-/// accumulating outputs in ascending order from zero per element —
-/// the same sequence the scalar backward's `d_prev` loop produces.
+/// accumulating outputs in ascending order from zero per element.
 fn dinput_gemm(
     delta: &[f32],
     weights: &[f32],
@@ -888,9 +737,9 @@ mod tests {
     #[test]
     fn forward_output_is_finite_and_deterministic() {
         let mlp = tiny_mlp(2);
-        let mut cache = MlpCache::for_mlp(&mlp);
-        let out1: Vec<f32> = mlp.forward(&[0.5, -0.5, 0.25], &mut cache).to_vec();
-        let out2: Vec<f32> = mlp.forward(&[0.5, -0.5, 0.25], &mut cache).to_vec();
+        let mut cache = MlpBatchCache::new();
+        let out1: Vec<f32> = mlp.forward_batch(&[0.5, -0.5, 0.25], 1, &mut cache).to_vec();
+        let out2: Vec<f32> = mlp.forward_batch(&[0.5, -0.5, 0.25], 1, &mut cache).to_vec();
         assert_eq!(out1, out2);
         assert!(out1.iter().all(|v| v.is_finite()));
     }
@@ -901,15 +750,15 @@ mod tests {
         let input = [0.3f32, -0.7, 0.9];
         let d_output = [1.0f32, -2.0];
 
-        let mut cache = MlpCache::new();
-        mlp.forward(&input, &mut cache);
+        let mut cache = MlpBatchCache::new();
+        mlp.forward_batch(&input, 1, &mut cache);
         let mut d_input = [0.0f32; 3];
         let mut grads = vec![0.0f32; mlp.param_count()];
-        mlp.backward(&cache, &d_output, &mut d_input, &mut grads);
+        mlp.backward_batch(&mut cache, &d_output, &mut d_input, &mut grads);
 
         let loss = |mlp: &Mlp, input: &[f32]| -> f32 {
-            let mut c = MlpCache::new();
-            let out = mlp.forward(input, &mut c);
+            let mut c = MlpBatchCache::new();
+            let out = mlp.forward_batch(input, 1, &mut c);
             out[0] * 1.0 + out[1] * -2.0
         };
 
@@ -949,8 +798,8 @@ mod tests {
     fn sigmoid_output_bounded() {
         let mut rng = SmallRng::seed_from_u64(5);
         let mlp = Mlp::new(&[4, 8, 3], Activation::Relu, Activation::Sigmoid, &mut rng);
-        let mut cache = MlpCache::new();
-        let out = mlp.forward(&[10.0, -10.0, 5.0, -5.0], &mut cache);
+        let mut cache = MlpBatchCache::new();
+        let out = mlp.forward_batch(&[10.0, -10.0, 5.0, -5.0], 1, &mut cache);
         for &v in out {
             assert!((0.0..=1.0).contains(&v));
         }
@@ -959,25 +808,25 @@ mod tests {
     #[test]
     fn gradient_accumulation_is_additive() {
         let mlp = tiny_mlp(8);
-        let mut cache = MlpCache::new();
-        mlp.forward(&[0.1, 0.2, 0.3], &mut cache);
+        let mut cache = MlpBatchCache::new();
+        mlp.forward_batch(&[0.1, 0.2, 0.3], 1, &mut cache);
         let mut d_input = [0.0f32; 3];
         let mut grads_once = vec![0.0f32; mlp.param_count()];
-        mlp.backward(&cache, &[1.0, 1.0], &mut d_input, &mut grads_once);
+        mlp.backward_batch(&mut cache, &[1.0, 1.0], &mut d_input, &mut grads_once);
         let mut grads_twice = vec![0.0f32; mlp.param_count()];
-        mlp.backward(&cache, &[1.0, 1.0], &mut d_input, &mut grads_twice);
-        mlp.backward(&cache, &[1.0, 1.0], &mut d_input, &mut grads_twice);
+        mlp.backward_batch(&mut cache, &[1.0, 1.0], &mut d_input, &mut grads_twice);
+        mlp.backward_batch(&mut cache, &[1.0, 1.0], &mut d_input, &mut grads_twice);
         for (a, b) in grads_once.iter().zip(&grads_twice) {
             assert!((2.0 * a - b).abs() < 1e-5);
         }
     }
 
     #[test]
-    #[should_panic(expected = "input size mismatch")]
+    #[should_panic(expected = "input batch size mismatch")]
     fn forward_rejects_wrong_input() {
         let mlp = tiny_mlp(9);
-        let mut cache = MlpCache::new();
-        mlp.forward(&[1.0], &mut cache);
+        let mut cache = MlpBatchCache::new();
+        mlp.forward_batch(&[1.0], 1, &mut cache);
     }
 
     #[test]

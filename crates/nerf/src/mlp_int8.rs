@@ -106,8 +106,6 @@ impl QuantizedMlp {
     /// Panics if `input.len() != self.input_dim()`.
     pub fn forward(&self, input: &[f32]) -> Vec<f32> {
         assert_eq!(input.len(), self.input_dim, "input size mismatch");
-        // lint: allow(h2): int8 reference path favors clarity;
-        // throughput numbers come from the f32 batched kernels
         let mut x = input.to_vec();
         for layer in &self.layers {
             debug_assert!(
@@ -117,11 +115,8 @@ impl QuantizedMlp {
             // Dynamic activation quantization.
             let max = x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
             let x_scale = if max == 0.0 { 1.0 } else { max / 127.0 };
-            let xq: Vec<i8> = x
-                .iter()
-                .map(|v| (v / x_scale).round().clamp(-127.0, 127.0) as i8)
-                // lint: allow(h2): int8 reference path — see `x` above
-                .collect();
+            let xq: Vec<i8> =
+                x.iter().map(|v| (v / x_scale).round().clamp(-127.0, 127.0) as i8).collect();
             let dequant = layer.weight_scale * x_scale;
             let mut y = Vec::with_capacity(layer.out_dim);
             for o in 0..layer.out_dim {
@@ -131,7 +126,6 @@ impl QuantizedMlp {
                     acc += row[i] as i32 * xq[i] as i32;
                 }
                 let val = acc as f32 * dequant + layer.biases[o];
-                // lint: allow(h2): int8 reference path — see `x` above
                 y.push(layer.activation.apply(val));
             }
             x = y;
@@ -143,7 +137,7 @@ impl QuantizedMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mlp::MlpCache;
+    use crate::mlp::MlpBatchCache;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -162,11 +156,11 @@ mod tests {
         assert_eq!(q.input_dim(), 22);
         assert_eq!(q.output_dim(), 3);
         let mut rng = SmallRng::seed_from_u64(2);
-        let mut cache = MlpCache::new();
+        let mut cache = MlpBatchCache::new();
         let mut worst = 0.0f32;
         for _ in 0..64 {
             let input: Vec<f32> = (0..22).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            let float_out = mlp.forward(&input, &mut cache).to_vec();
+            let float_out = mlp.forward_batch(&input, 1, &mut cache).to_vec();
             let q_out = q.forward(&input);
             for (a, b) in float_out.iter().zip(&q_out) {
                 worst = worst.max((a - b).abs());
@@ -189,9 +183,9 @@ mod tests {
     fn zero_input_is_exact() {
         let mlp = trained_like_mlp(4);
         let q = QuantizedMlp::quantize(&mlp);
-        let mut cache = MlpCache::new();
+        let mut cache = MlpBatchCache::new();
         let zeros = vec![0.0f32; 22];
-        let float_out = mlp.forward(&zeros, &mut cache).to_vec();
+        let float_out = mlp.forward_batch(&zeros, 1, &mut cache).to_vec();
         let q_out = q.forward(&zeros);
         // With zero input only biases flow; both paths agree to float
         // rounding.

@@ -12,15 +12,14 @@ use crate::adam::{Adam, AdamConfig};
 use crate::batch::KernelScratch;
 use crate::encoding::{Encoding, HashGrid, HashGridConfig};
 use crate::math::Vec3;
-use crate::mlp::{sh_encode, Activation, Mlp, MlpCache, SH_DIM};
+use crate::mlp::{sh_encode, Activation, Mlp, MlpBatchCache, SH_DIM};
 use rand::Rng;
 
 /// Clamp on the raw density logit before the exponential.
-const RAW_DENSITY_CLAMP: f32 = 12.0;
+pub(crate) const RAW_DENSITY_CLAMP: f32 = 12.0;
 
 /// Architecture of a [`NerfModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModelConfig {
     /// Hash-grid encoding configuration.
     pub grid: HashGridConfig,
@@ -56,34 +55,6 @@ impl ModelConfig {
             + self.hidden_dim * 3
             + 3;
         enc + density + color
-    }
-}
-
-/// Density and color of a point evaluated by the field.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PointEval {
-    /// Volume density `σ ≥ 0`.
-    pub sigma: f32,
-    /// RGB radiance in `[0, 1]`.
-    pub color: Vec3,
-}
-
-/// Forward-pass state for one sample point, retained for the backward
-/// pass. Reusable across points to avoid allocation.
-#[derive(Debug, Clone, Default)]
-pub struct PointContext {
-    encoded: Vec<f32>,
-    density_cache: MlpCache,
-    color_cache: MlpCache,
-    color_input: Vec<f32>,
-    sigma: f32,
-    raw_clamped: bool,
-}
-
-impl PointContext {
-    /// Creates an empty context.
-    pub fn new() -> Self {
-        PointContext::default()
     }
 }
 
@@ -290,81 +261,16 @@ impl<E: Encoding> NerfModel<E> {
         (clamped.exp(), clamped != raw)
     }
 
-    /// Evaluates density only (used for occupancy-grid refreshes).
+    /// Evaluates density only (used for occupancy-grid refreshes):
+    /// the encoding and the density network at a batch of one.
     pub fn density_at(&self, p: Vec3) -> f32 {
-        let mut cache = MlpCache::new();
         // lint: allow(h2): occupancy-refresh probe path — runs per
         // grid refresh, not per sample
         let mut encoded = vec![0.0; self.encoding.output_dim()];
-        self.encoding.interpolate(p, &mut encoded);
-        let out = self.density_mlp.forward(&encoded, &mut cache);
+        self.encoding.interpolate_batch_infer(&[p], &mut encoded);
+        let mut cache = MlpBatchCache::new();
+        let out = self.density_mlp.forward_batch(&encoded, 1, &mut cache);
         Self::density_activation(out[0]).0
-    }
-
-    /// Full forward pass for one sample point, retaining the state
-    /// needed by [`NerfModel::backward`] in `ctx`.
-    pub fn forward(&self, position: Vec3, direction: Vec3, ctx: &mut PointContext) -> PointEval {
-        ctx.encoded.resize(self.encoding.output_dim(), 0.0);
-        self.encoding.interpolate(position, &mut ctx.encoded);
-        let d_out: Vec<f32> = {
-            let out = self.density_mlp.forward(&ctx.encoded, &mut ctx.density_cache);
-            // lint: allow(h2): scalar reference path — the batched
-            // pipeline uses forward_batch
-            out.to_vec()
-        };
-        let (sigma, clamped) = Self::density_activation(d_out[0]);
-        ctx.sigma = sigma;
-        ctx.raw_clamped = clamped;
-
-        let mut sh = [0.0f32; SH_DIM];
-        sh_encode(direction.to_array(), &mut sh);
-        ctx.color_input.clear();
-        ctx.color_input.extend_from_slice(&d_out[1..]);
-        ctx.color_input.extend_from_slice(&sh);
-        let rgb = self.color_mlp.forward(&ctx.color_input, &mut ctx.color_cache);
-        PointEval { sigma, color: Vec3::new(rgb[0], rgb[1], rgb[2]) }
-    }
-
-    /// Backward pass for one sample point previously run through
-    /// [`NerfModel::forward`] with `ctx`.
-    ///
-    /// `d_sigma` and `d_color` are the loss gradients w.r.t. the
-    /// point's density and color; parameter gradients are accumulated
-    /// into `grads`.
-    pub fn backward(
-        &self,
-        position: Vec3,
-        ctx: &PointContext,
-        d_sigma: f32,
-        d_color: Vec3,
-        grads: &mut ModelGrads,
-    ) {
-        // Color MLP backward.
-        let d_rgb = [d_color.x, d_color.y, d_color.z];
-        // lint: allow(h2): scalar reference path — the batched
-        // pipeline uses backward_batch
-        let mut d_color_in = vec![0.0f32; self.color_mlp.input_dim()];
-        self.color_mlp.backward(&ctx.color_cache, &d_rgb, &mut d_color_in, &mut grads.color);
-
-        // Density MLP backward: output 0 is the density logit
-        // (dσ/draw = σ through the exponential, zero where clamped);
-        // outputs 1.. are the geometric features feeding the color
-        // network.
-        // lint: allow(h2): scalar reference path — see `d_color_in`
-        let mut d_density_out = vec![0.0f32; self.density_mlp.output_dim()];
-        d_density_out[0] = if ctx.raw_clamped { 0.0 } else { d_sigma * ctx.sigma };
-        d_density_out[1..].copy_from_slice(&d_color_in[..self.geo_feature_dim]);
-        // lint: allow(h2): scalar reference path — see `d_color_in`
-        let mut d_encoded = vec![0.0f32; self.density_mlp.input_dim()];
-        self.density_mlp.backward(
-            &ctx.density_cache,
-            &d_density_out,
-            &mut d_encoded,
-            &mut grads.density,
-        );
-
-        // Encoding backward: scatter into the feature tables.
-        self.encoding.backward(position, &d_encoded, &mut grads.grid);
     }
 
     /// Sizes `scratch` for a batch of `n` samples of this model so the
@@ -381,15 +287,16 @@ impl<E: Encoding> NerfModel<E> {
         scratch.color_cache.begin(self.color_mlp.dims(), n);
     }
 
-    /// Full forward pass for one ray's batch of sample points, the
-    /// batched counterpart of [`NerfModel::forward`]: all positions
-    /// share `direction` (one SH evaluation per ray instead of one per
-    /// sample). Results land in [`KernelScratch::sigma`] /
+    /// Full forward pass for one ray's batch of sample points: all
+    /// positions share `direction` (one SH evaluation per ray instead
+    /// of one per sample). Results land in [`KernelScratch::sigma`] /
     /// [`KernelScratch::color`]; the scratch retains everything
-    /// [`NerfModel::backward_batch`] needs.
+    /// [`NerfModel::backward_batch`] needs. A single point is a batch
+    /// of one.
     ///
-    /// Bitwise-identical to looping the scalar forward over the batch
-    /// — the `reference` module's differential tests enforce this.
+    /// Bitwise-identical to the scalar oracle
+    /// [`crate::reference::model_forward`] — the differential tests
+    /// enforce this.
     pub fn forward_batch(&self, positions: &[Vec3], direction: Vec3, scratch: &mut KernelScratch) {
         self.forward_batch_impl(positions, direction, scratch, true);
     }
@@ -487,14 +394,13 @@ impl<E: Encoding> NerfModel<E> {
     }
 
     /// Backward pass for the batch previously run through
-    /// [`NerfModel::forward_batch`] with `scratch`, the batched
-    /// counterpart of [`NerfModel::backward`].
+    /// [`NerfModel::forward_batch`] with `scratch`.
     ///
     /// `d_sigma[i]` / `d_color[i]` are the loss gradients w.r.t.
     /// sample `i`'s density and color; parameter gradients accumulate
     /// into `grads` with every element's per-sample contributions in
     /// ascending sample order, so the result is bitwise-identical to
-    /// looping the scalar backward.
+    /// [`crate::reference::model_backward`].
     ///
     /// # Panics
     ///
@@ -596,6 +502,28 @@ mod tests {
         NerfModel::new(tiny_config(), &mut rng)
     }
 
+    /// Density and color of one point, evaluated as a batch of one.
+    fn eval(m: &NerfModel, p: Vec3, dir: Vec3) -> (f32, Vec3) {
+        let mut scratch = KernelScratch::new();
+        m.forward_batch(&[p], dir, &mut scratch);
+        (scratch.sigma()[0], scratch.color()[0])
+    }
+
+    /// Forward and backward of one point as a batch of one,
+    /// accumulating its parameter gradients into `grads`.
+    fn backprop(
+        m: &NerfModel,
+        p: Vec3,
+        dir: Vec3,
+        d_sigma: f32,
+        d_color: Vec3,
+        grads: &mut ModelGrads,
+    ) {
+        let mut scratch = KernelScratch::new();
+        m.forward_batch(&[p], dir, &mut scratch);
+        m.backward_batch(&[p], &[d_sigma], &[d_color], &mut scratch, grads);
+    }
+
     #[test]
     fn param_count_matches_config_prediction() {
         let model = tiny_model(0);
@@ -608,21 +536,26 @@ mod tests {
     #[test]
     fn forward_produces_valid_outputs() {
         let model = tiny_model(1);
-        let mut ctx = PointContext::new();
-        let eval = model.forward(Vec3::splat(0.4), Vec3::Z, &mut ctx);
-        assert!(eval.sigma >= 0.0 && eval.sigma.is_finite());
-        for c in eval.color.to_array() {
+        let (sigma, color) = eval(&model, Vec3::splat(0.4), Vec3::Z);
+        assert!(sigma >= 0.0 && sigma.is_finite());
+        for c in color.to_array() {
             assert!((0.0..=1.0).contains(&c));
         }
     }
 
     #[test]
-    fn density_at_matches_forward_sigma() {
+    fn density_at_matches_reference_sigma_bitwise() {
+        use rand::Rng;
         let model = tiny_model(2);
-        let p = Vec3::new(0.2, 0.7, 0.5);
-        let mut ctx = PointContext::new();
-        let eval = model.forward(p, Vec3::X, &mut ctx);
-        assert!((model.density_at(p) - eval.sigma).abs() < 1e-6);
+        let mut rng = SmallRng::seed_from_u64(12);
+        // Include points outside the unit cube: both sides clamp.
+        let points: Vec<Vec3> = (0..64)
+            .map(|_| Vec3::new(rng.gen_range(-0.2..1.2), rng.gen(), rng.gen_range(-0.2..1.2)))
+            .collect();
+        let (sigmas, _) = crate::reference::model_forward(&model, &points, Vec3::X);
+        for (&p, &sigma) in points.iter().zip(&sigmas) {
+            assert_eq!(model.density_at(p).to_bits(), sigma.to_bits(), "density at {p:?}");
+        }
     }
 
     #[test]
@@ -630,10 +563,9 @@ mod tests {
         // With random weights the SH features almost surely influence
         // the output; verify view dependence exists.
         let model = tiny_model(3);
-        let mut ctx = PointContext::new();
         let p = Vec3::splat(0.5);
-        let a = model.forward(p, Vec3::X, &mut ctx).color;
-        let b = model.forward(p, -Vec3::X, &mut ctx).color;
+        let a = eval(&model, p, Vec3::X).1;
+        let b = eval(&model, p, -Vec3::X).1;
         assert!((a - b).length() > 1e-6, "color should be view-dependent");
     }
 
@@ -644,15 +576,12 @@ mod tests {
         let dir = Vec3::new(0.4, -0.3, 0.8).normalize();
         let (d_sigma, d_color) = (0.7f32, Vec3::new(1.0, -0.5, 0.25));
 
-        let mut ctx = PointContext::new();
-        model.forward(p, dir, &mut ctx);
         let mut grads = model.alloc_grads();
-        model.backward(p, &ctx, d_sigma, d_color, &mut grads);
+        backprop(&model, p, dir, d_sigma, d_color, &mut grads);
 
         let loss = |m: &NerfModel| {
-            let mut c = PointContext::new();
-            let e = m.forward(p, dir, &mut c);
-            d_sigma * e.sigma + d_color.dot(e.color)
+            let (sigma, color) = eval(m, p, dir);
+            d_sigma * sigma + d_color.dot(color)
         };
 
         // Check nonzero grid gradients against central differences.
@@ -683,15 +612,12 @@ mod tests {
         let dir = Vec3::Y;
         let (d_sigma, d_color) = (1.0f32, Vec3::splat(1.0));
 
-        let mut ctx = PointContext::new();
-        model.forward(p, dir, &mut ctx);
         let mut grads = model.alloc_grads();
-        model.backward(p, &ctx, d_sigma, d_color, &mut grads);
+        backprop(&model, p, dir, d_sigma, d_color, &mut grads);
 
         let loss = |m: &NerfModel| {
-            let mut c = PointContext::new();
-            let e = m.forward(p, dir, &mut c);
-            d_sigma * e.sigma + d_color.dot(e.color)
+            let (sigma, color) = eval(m, p, dir);
+            d_sigma * sigma + d_color.dot(color)
         };
         let h = 1e-3f32;
         let mid = loss(&model);
@@ -757,17 +683,15 @@ mod tests {
         let p = Vec3::splat(0.5);
         let dir = Vec3::Z;
         let loss_of = |m: &NerfModel| {
-            let mut c = PointContext::new();
-            let e = m.forward(p, dir, &mut c);
-            e.sigma + (e.color - Vec3::ONE).length_squared()
+            let (sigma, color) = eval(m, p, dir);
+            sigma + (color - Vec3::ONE).length_squared()
         };
         let initial = loss_of(&model);
         let mut grads = model.alloc_grads();
         for _ in 0..60 {
-            let mut ctx = PointContext::new();
-            let e = model.forward(p, dir, &mut ctx);
+            let color = eval(&model, p, dir).1;
             grads.zero();
-            model.backward(p, &ctx, 1.0, (e.color - Vec3::ONE) * 2.0, &mut grads);
+            backprop(&model, p, dir, 1.0, (color - Vec3::ONE) * 2.0, &mut grads);
             opt.step(&mut model, &grads);
         }
         let final_loss = loss_of(&model);

@@ -1,18 +1,19 @@
 //! Differential tests of the batched SoA kernels against the scalar
-//! reference path.
+//! oracle in `fusion3d_nerf::reference`.
 //!
 //! The batched hot-path kernels ([`fusion3d_nerf::batch`],
 //! `interpolate_batch` / `backward_batch`, `forward_batch` /
 //! `backward_batch`) carry a bitwise-determinism contract: identical
-//! inputs must produce bit-for-bit identical f32 results to looping
-//! the scalar kernels one sample at a time. These tests enforce the
-//! contract at batch sizes 0, 1, 7, 64, and 1000 — deliberately
-//! including sizes that are not multiples of the GEMM tile widths —
-//! and re-check thread-count independence on the batched pipeline.
+//! inputs must produce bit-for-bit identical f32 results to the
+//! oracle's independent one-sample-at-a-time loops. These tests
+//! enforce the contract at batch sizes 0, 1, 7, 64, and 1000 —
+//! deliberately including sizes that are not multiples of the GEMM
+//! tile widths — and re-check thread-count independence on the
+//! batched pipeline.
 
 use fusion3d_nerf::batch::{KernelScratch, SampleBatch};
 use fusion3d_nerf::camera::{orbit_poses, Camera};
-use fusion3d_nerf::encoding::{EncodingScratch, HashGrid, HashGridConfig};
+use fusion3d_nerf::encoding::{Encoding, EncodingScratch, HashGrid, HashGridConfig};
 use fusion3d_nerf::math::{Ray, Vec3};
 use fusion3d_nerf::mlp::{Activation, Mlp, MlpBatchCache};
 use fusion3d_nerf::model::{ModelConfig, NerfModel};
@@ -234,7 +235,8 @@ fn model_backward_batch_is_bitwise_scalar() {
             .chunks_exact(3)
             .map(|c| Vec3::new(c[0], c[1], c[2]))
             .collect();
-        let scalar = reference::model_backward(&model, &pts, dir, &d_sigma, &d_color);
+        let mut scalar = model.alloc_grads();
+        reference::model_backward(&model, &pts, dir, &d_sigma, &d_color, &mut scalar);
         model.forward_batch(&pts, dir, &mut scratch);
         let mut batched = model.alloc_grads();
         model.backward_batch(&pts, &d_sigma, &d_color, &mut scratch, &mut batched);

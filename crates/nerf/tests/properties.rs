@@ -3,7 +3,7 @@
 //! sampler geometry, encoding linearity, and gradient additivity hold
 //! for *arbitrary* inputs, not just the hand-picked ones.
 
-use fusion3d_nerf::encoding::{HashGrid, HashGridConfig};
+use fusion3d_nerf::encoding::{Encoding, EncodingScratch, HashGrid, HashGridConfig};
 use fusion3d_nerf::math::{Aabb, Ray, Vec3};
 use fusion3d_nerf::occupancy::OccupancyGrid;
 use fusion3d_nerf::render::{composite, composite_backward, ShadedSample};
@@ -143,12 +143,12 @@ proptest! {
         let mut grid = HashGrid::with_random_init(config, &mut rng);
         let p = Vec3::new(px, py, pz);
         let mut base = vec![0.0f32; grid.config().output_dim()];
-        grid.interpolate(p, &mut base);
+        grid.interpolate_batch_infer(&[p], &mut base);
         for v in grid.params_mut() {
             *v *= scale;
         }
         let mut scaled = vec![0.0f32; grid.config().output_dim()];
-        grid.interpolate(p, &mut scaled);
+        grid.interpolate_batch_infer(&[p], &mut scaled);
         for (a, b) in base.iter().zip(&scaled) {
             prop_assert!(
                 (a * scale - b).abs() < 1e-4 * (1.0 + a.abs() * scale),
@@ -171,11 +171,12 @@ proptest! {
         let grid = HashGrid::new(config);
         let p = Vec3::new(px, py, pz);
         let d = vec![1.0f32; config.output_dim()];
+        let mut scratch = EncodingScratch::new();
         let mut once = vec![0.0f32; grid.param_count()];
-        grid.backward(p, &d, &mut once);
+        grid.backward_batch(&[p], &d, &mut once, &mut scratch);
         let mut twice = vec![0.0f32; grid.param_count()];
-        grid.backward(p, &d, &mut twice);
-        grid.backward(p, &d, &mut twice);
+        grid.backward_batch(&[p], &d, &mut twice, &mut scratch);
+        grid.backward_batch(&[p], &d, &mut twice, &mut scratch);
         for (a, b) in once.iter().zip(&twice) {
             prop_assert!((2.0 * a - b).abs() < 1e-6);
         }

@@ -92,7 +92,7 @@ fn main() {
     for _ in 0..250 {
         let p = Vec3::new(rng.gen(), rng.gen(), rng.gen());
         accesses.clear();
-        grid.record_accesses(p, &mut accesses);
+        grid.record_accesses(&[p], &mut accesses);
         for level in accesses.chunks(8) {
             let mut addrs = [0u32; 8];
             for (slot, a) in addrs.iter_mut().zip(level) {

@@ -8,7 +8,7 @@
 //! ```
 
 use fusion3d::arith::half::round_trip_f16;
-use fusion3d::nerf::encoding::HashGridConfig;
+use fusion3d::nerf::encoding::{Encoding, HashGridConfig};
 use fusion3d::nerf::pipeline::{render_image, PipelineConfig};
 use fusion3d::nerf::quant::{quantize_model_int8, train_with_quantization, QuantSchedule};
 use fusion3d::nerf::{

@@ -25,6 +25,12 @@ cargo test -q -p fusion3d-nerf --features obs
 # Keep the throughput harness runnable; the smoke run takes ~a second
 # and writes its report under target/ (full runs write BENCH_perf.json).
 cargo run --release -q -p fusion3d-bench --bin perf -- --smoke --out target/BENCH_perf_smoke.json
+# Experiment dispatcher: one table runs by name, and an unknown name
+# must fail rather than silently run nothing.
+cargo run --release -q -p fusion3d-bench --bin experiments -- table1 > /dev/null
+if cargo run --release -q -p fusion3d-bench --bin experiments -- no-such-table 2> /dev/null; then
+  echo "experiments accepted an unknown experiment name"; exit 1
+fi
 # Serving harness smoke: run the same short trace at 1 and 4 kernel
 # workers and hold the reports byte-identical (the serve determinism
 # contract, docs/SERVING.md), then assert the schema keys are present.

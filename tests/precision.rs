@@ -5,8 +5,9 @@
 
 use fusion3d::arith::fiem::FixedWeight;
 use fusion3d::arith::half::round_trip_f16;
-use fusion3d::nerf::encoding::{HashGrid, HashGridConfig};
+use fusion3d::nerf::encoding::{Encoding, HashGrid, HashGridConfig};
 use fusion3d::nerf::pipeline::{render_image, PipelineConfig};
+use fusion3d::nerf::reference::encode_points;
 use fusion3d::nerf::{
     Dataset, ModelConfig, NerfModel, ProceduralScene, SamplerConfig, SyntheticScene, Trainer,
     TrainerConfig, Vec3,
@@ -36,8 +37,7 @@ fn fiem_interpolation_matches_float_reference() {
             (probe as f32 * 0.311).fract(),
             (probe as f32 * 0.539).fract(),
         );
-        let mut reference = vec![0.0f32; grid.config().output_dim()];
-        grid.interpolate(p, &mut reference);
+        let reference = encode_points(&grid, &[p]);
         // FIEM path: quantize each corner weight to 10 fractional
         // bits and accumulate with the fraction/exponent-split
         // multiplier. Reconstruct the same gather via record_accesses
