@@ -57,8 +57,9 @@ use crate::lexer::{Token, TokenKind};
 use crate::rules::{AllowUsage, Finding, RESULT_BEARING_CRATES};
 use crate::SourceFile;
 
-/// Hot-path entry points of `fusion3d-nerf` for H2: the render,
-/// batched-forward/backward, and training-step surfaces.
+/// Hot-path entry points of `fusion3d-nerf` for H2: the render
+/// surfaces and their tile routine, the batched and multi-ray
+/// forward/backward kernels, and the training step.
 const H2_ENTRY_NAMES: &[&str] = &[
     "render_image",
     "render_image_probed",
@@ -67,14 +68,14 @@ const H2_ENTRY_NAMES: &[&str] = &[
     "render_depth_image",
     "render_views_into",
     "trace_frame",
-    "shade_ray",
-    "shade_ray_depth",
+    "shade_rays",
+    "flush_tile",
     "forward_batch",
     "forward_batch_infer",
+    "forward_rays_infer",
     "backward_batch",
     "interpolate_batch",
     "interpolate_batch_infer",
-    "train_step",
     "step",
 ];
 

@@ -454,8 +454,10 @@ fn h2_flags_allocation_reachable_from_render_entries() {
 
 #[test]
 fn h2_flags_allocating_macros_in_train_step() {
-    let src = "pub fn train_step(n: usize) -> String {\n\
+    let src = "impl Trainer {\n\
+               pub fn step(&mut self, n: usize) -> String {\n\
                format!(\"step {n}\")\n\
+               }\n\
                }\n";
     assert_eq!(rules_at("crates/nerf/src/trainer.rs", src), vec!["H2"]);
 }

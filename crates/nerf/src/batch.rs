@@ -12,7 +12,8 @@
 //!   features, MLP activation caches, per-sample densities/colors and
 //!   their gradients), allocated once and reused across rays and
 //!   training steps;
-//! * [`RayScratch`] — the pair of them, one per worker thread.
+//! * [`RayScratch`] — the pair of them, one per worker thread, plus
+//!   the per-ray segment list of a render tile.
 //!
 //! The batched kernels take a capacity fingerprint of the scratch on
 //! entry and `debug_assert` it unchanged on exit, so any allocation
@@ -237,12 +238,18 @@ impl KernelScratch {
     }
 }
 
-/// One worker's complete per-ray working set: the Stage-I sample
-/// batch plus the Stage-II/III kernel scratch.
+/// One worker's complete shading working set: the Stage-I sample
+/// batch plus the Stage-II/III kernel scratch. The render pipeline
+/// fills `samples` with a whole tile of rays laid end to end and
+/// records one `(segment end, direction)` entry per ray in
+/// `segments`; training holds one ray at a time.
 #[derive(Debug, Clone, Default)]
 pub struct RayScratch {
     /// Stage-I output buffers.
     pub(crate) samples: SampleBatch,
+    /// Per-ray `(segment end, direction)` entries of the tile in
+    /// `samples` (render pipeline only).
+    pub(crate) segments: Vec<(usize, Vec3)>,
     /// Stage-II/III working memory.
     pub(crate) kernel: KernelScratch,
 }

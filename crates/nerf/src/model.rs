@@ -292,37 +292,70 @@ impl<E: Encoding> NerfModel<E> {
     /// of one per sample). Results land in [`KernelScratch::sigma`] /
     /// [`KernelScratch::color`]; the scratch retains everything
     /// [`NerfModel::backward_batch`] needs. A single point is a batch
-    /// of one.
+    /// of one, and the batch is the one-segment case of
+    /// [`NerfModel::forward_rays_infer`].
     ///
     /// Bitwise-identical to the scalar oracle
     /// [`crate::reference::model_forward`] — the differential tests
     /// enforce this.
     pub fn forward_batch(&self, positions: &[Vec3], direction: Vec3, scratch: &mut KernelScratch) {
-        self.forward_batch_impl(positions, direction, scratch, true);
+        self.forward_batch_impl(positions, &[(positions.len(), direction)], scratch, true);
     }
 
     /// [`NerfModel::forward_batch`] for inference: identical results,
     /// but the encoding retains nothing for a backward pass, skipping
-    /// the corner-address/weight spill training needs. The render
-    /// pipeline uses this; calling [`NerfModel::backward_batch`] after
-    /// it recomputes the corner data instead of reusing it.
+    /// the corner-address/weight spill training needs. Calling
+    /// [`NerfModel::backward_batch`] after it recomputes the corner
+    /// data instead of reusing it.
     pub fn forward_batch_infer(
         &self,
         positions: &[Vec3],
         direction: Vec3,
         scratch: &mut KernelScratch,
     ) {
-        self.forward_batch_impl(positions, direction, scratch, false);
+        self.forward_batch_impl(positions, &[(positions.len(), direction)], scratch, false);
+    }
+
+    /// Inference forward over a *tile*: several rays' samples laid end
+    /// to end in `positions`, with one `(segment end, direction)` entry
+    /// per ray in `segments`. Ray `r` owns
+    /// `positions[segments[r - 1].0..segments[r].0]` (from 0 for the
+    /// first ray) and its direction feeds only that segment's SH view
+    /// encoding; empty segments are allowed. One encode pass and one
+    /// density + colour MLP pass run over the whole tile, which is how
+    /// the render pipeline amortizes the GEMM tiles and the weight
+    /// transposes across short rays.
+    ///
+    /// Every sample's result is bitwise-identical to a per-ray
+    /// [`NerfModel::forward_batch_infer`] with that ray's direction:
+    /// samples never interact inside the kernels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment ends decrease or the last one differs
+    /// from `positions.len()` (no segments for an empty tile).
+    pub fn forward_rays_infer(
+        &self,
+        positions: &[Vec3],
+        segments: &[(usize, Vec3)],
+        scratch: &mut KernelScratch,
+    ) {
+        self.forward_batch_impl(positions, segments, scratch, false);
     }
 
     fn forward_batch_impl(
         &self,
         positions: &[Vec3],
-        direction: Vec3,
+        segments: &[(usize, Vec3)],
         scratch: &mut KernelScratch,
         retain: bool,
     ) {
         let n = positions.len();
+        assert!(
+            segments.windows(2).all(|w| w[0].0 <= w[1].0)
+                && segments.last().map_or(0, |&(end, _)| end) == n,
+            "segment ends must ascend to the batch length"
+        );
         self.begin_batch(scratch, n);
         #[cfg(debug_assertions)]
         let stamp = scratch.capacity_fingerprint();
@@ -358,21 +391,25 @@ impl<E: Encoding> NerfModel<E> {
 
         // Density activation + color-network input assembly. The SH
         // view encoding depends only on the ray direction, so it is
-        // evaluated once and broadcast to every sample.
-        let mut sh = [0.0f32; SH_DIM];
-        sh_encode(direction.to_array(), &mut sh);
+        // evaluated once per segment and broadcast to its samples.
         let d_out_dim = self.density_mlp.output_dim();
         let c_in = self.color_mlp.input_dim();
         {
             let d_out = scratch.density_cache.output();
-            for s in 0..n {
-                let row = &d_out[s * d_out_dim..(s + 1) * d_out_dim];
-                let (sigma, clamped) = Self::density_activation(row[0]);
-                scratch.sigma[s] = sigma;
-                scratch.raw_clamped[s] = clamped;
-                let ci = &mut scratch.color_input[s * c_in..(s + 1) * c_in];
-                ci[..self.geo_feature_dim].copy_from_slice(&row[1..]);
-                ci[self.geo_feature_dim..].copy_from_slice(&sh);
+            let mut start = 0;
+            for &(end, direction) in segments {
+                let mut sh = [0.0f32; SH_DIM];
+                sh_encode(direction.to_array(), &mut sh);
+                for s in start..end {
+                    let row = &d_out[s * d_out_dim..(s + 1) * d_out_dim];
+                    let (sigma, clamped) = Self::density_activation(row[0]);
+                    scratch.sigma[s] = sigma;
+                    scratch.raw_clamped[s] = clamped;
+                    let ci = &mut scratch.color_input[s * c_in..(s + 1) * c_in];
+                    ci[..self.geo_feature_dim].copy_from_slice(&row[1..]);
+                    ci[self.geo_feature_dim..].copy_from_slice(&sh);
+                }
+                start = end;
             }
         }
 

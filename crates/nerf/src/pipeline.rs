@@ -10,6 +10,9 @@
 //! across the [`fusion3d_par::Pool`] workers. Chunk geometry and the
 //! raster-order merge are independent of the thread count, so a frame
 //! is bitwise-identical whether rendered on one core or sixteen.
+//! Within a row, rays are shaded in tiles: Stage II/III run once per
+//! tile of at least `TILE_SAMPLES` samples, and compositing runs per
+//! ray, which leaves every pixel's bits unchanged.
 
 use crate::batch::RayScratch;
 use crate::camera::Camera;
@@ -19,8 +22,9 @@ use crate::math::{Ray, Vec3};
 use crate::model::NerfModel;
 use crate::occupancy::OccupancyGrid;
 use crate::render::composite_into;
-use crate::sampler::{sample_ray, sample_ray_into, RayWorkload, SamplerConfig};
+use crate::sampler::{sample_ray, sample_ray_append, RayWorkload, SamplerConfig};
 use fusion3d_par::Pool;
+use std::ops::Range;
 
 /// Configuration shared by rendering and tracing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,71 +47,133 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Runs all three stages for one ray through the batched kernels:
-/// Stage-I sampling into the scratch's [`crate::batch::SampleBatch`],
-/// one batched Stage-II/III model forward over every retained sample,
-/// and compositing. Returns the pixel color and final transmittance;
-/// the per-sample weights stay in `scratch.kernel.weights` for depth
-/// queries. The caller owns `scratch` so frame loops reuse one
+/// Retained samples a render tile gathers before it runs the model.
+/// Rays join a tile whole, so a tile holds at most
+/// `TILE_SAMPLES - 1 + max_samples_per_ray` samples.
+const TILE_SAMPLES: usize = 256;
+
+/// One ray's result as [`shade_rays`] hands it back.
+struct ShadedRay<'a> {
+    /// Pixel color, background included.
+    color: Vec3,
+    /// Transmittance left after the ray's last sample.
+    transmittance: f32,
+    /// The ray's sample parameters, in marching order.
+    ts: &'a [f32],
+    /// The ray's per-sample blend weights (zero past an early stop).
+    weights: &'a [f32],
+}
+
+impl ShadedRay<'_> {
+    /// The blend-weighted mean sample parameter, or `None` for rays
+    /// that never absorb. Exact only for rays shaded without early
+    /// stop, which would zero the trailing weights.
+    fn depth(&self) -> Option<f32> {
+        let opacity = 1.0 - self.transmittance;
+        if opacity < 1e-3 {
+            return None;
+        }
+        let weighted: f32 = self.ts.iter().zip(self.weights).map(|(&t, &w)| t * w).sum();
+        Some(weighted / opacity)
+    }
+}
+
+/// Runs all three stages for a sequence of rays, in tiles: each ray's
+/// Stage-I samples are appended to the scratch's
+/// [`crate::batch::SampleBatch`], and once the tile holds at least
+/// [`TILE_SAMPLES`] samples (or the rays run out) one Stage-II/III
+/// model forward runs over the whole tile before each ray's segment
+/// is composited on its own. `emit` receives every ray's result in
+/// input order. The caller owns `scratch` so frame loops reuse one
 /// working set per worker instead of allocating per pixel.
-fn shade_ray<E: Encoding>(
+///
+/// Tiling never changes a bit: samples do not interact inside the
+/// encode and MLP kernels, and compositing still runs per ray.
+fn shade_rays<E: Encoding>(
     model: &NerfModel<E>,
     occupancy: &OccupancyGrid,
-    ray: &Ray,
+    config: &PipelineConfig,
+    early_stop: bool,
+    rays: impl IntoIterator<Item = Ray>,
+    scratch: &mut RayScratch,
+    mut emit: impl FnMut(ShadedRay<'_>),
+) {
+    scratch.samples.clear();
+    scratch.segments.clear();
+    for ray in rays {
+        sample_ray_append(&ray, occupancy, &config.sampler, &mut scratch.samples);
+        // lint: allow(h2): amortized — the segment list is cleared per
+        // tile and keeps its capacity across tiles
+        scratch.segments.push((scratch.samples.len(), ray.direction));
+        if scratch.samples.len() >= TILE_SAMPLES {
+            flush_tile(model, config, early_stop, scratch, &mut emit);
+        }
+    }
+    flush_tile(model, config, early_stop, scratch, &mut emit);
+}
+
+/// Shades the tile gathered in `scratch`: one model forward over every
+/// sample, then per-ray compositing in ray order. Leaves the tile
+/// empty.
+fn flush_tile<E: Encoding>(
+    model: &NerfModel<E>,
     config: &PipelineConfig,
     early_stop: bool,
     scratch: &mut RayScratch,
-) -> (Vec3, f32) {
-    sample_ray_into(ray, occupancy, &config.sampler, &mut scratch.samples);
-    model.forward_batch_infer(scratch.samples.positions(), ray.direction, &mut scratch.kernel);
-    scratch.kernel.build_shaded(scratch.samples.dts());
-    let result = composite_into(
-        &scratch.kernel.shaded,
-        config.background,
-        early_stop,
-        &mut scratch.kernel.weights,
-    );
-    crate::probe!({
-        scratch.kernel.probes.rays += 1;
-        if result.1 < 1e-4 {
-            scratch.kernel.probes.rays_saturated += 1;
-        }
-    });
-    result
-}
-
-/// The blend-weighted mean sample parameter of one ray, or `None` for
-/// rays that never absorb. Shared by [`render_pixel_depth`] and the
-/// frame-level [`render_depth_image`].
-fn shade_ray_depth<E: Encoding>(
-    model: &NerfModel<E>,
-    occupancy: &OccupancyGrid,
-    ray: &Ray,
-    config: &PipelineConfig,
-    scratch: &mut RayScratch,
-) -> Option<f32> {
-    // Early stop must be off: the weighted-mean depth needs every
-    // sample's exact blend weight.
-    let (_, final_transmittance) = shade_ray(model, occupancy, ray, config, false, scratch);
-    let opacity = 1.0 - final_transmittance;
-    if opacity < 1e-3 {
-        return None;
+    emit: &mut impl FnMut(ShadedRay<'_>),
+) {
+    if scratch.segments.is_empty() {
+        return;
     }
-    let depth: f32 =
-        scratch.samples.ts().iter().zip(&scratch.kernel.weights).map(|(&t, &w)| t * w).sum::<f32>()
-            / opacity;
-    Some(depth)
+    let RayScratch { samples, segments, kernel } = scratch;
+    model.forward_rays_infer(samples.positions(), segments, kernel);
+    kernel.build_shaded(samples.dts());
+    let mut start = 0;
+    for &(end, _) in segments.iter() {
+        let (color, transmittance) = composite_into(
+            &kernel.shaded[start..end],
+            config.background,
+            early_stop,
+            &mut kernel.weights,
+        );
+        crate::probe!({
+            kernel.probes.rays += 1;
+            if transmittance < 1e-4 {
+                kernel.probes.rays_saturated += 1;
+            }
+        });
+        emit(ShadedRay {
+            color,
+            transmittance,
+            ts: &samples.ts()[start..end],
+            weights: &kernel.weights,
+        });
+        start = end;
+    }
+    samples.clear();
+    segments.clear();
 }
 
-/// Renders a single pixel: runs all three stages for one ray.
+/// The camera rays of raster-order pixel indices `range`.
+fn pixel_rays(camera: &Camera, range: Range<usize>) -> impl Iterator<Item = Ray> + '_ {
+    let width = (camera.width() as usize).max(1);
+    range.map(move |i| camera.ray_for_pixel((i % width) as u32, (i / width) as u32))
+}
+
+/// Renders a single pixel: runs all three stages for one ray (a tile
+/// of one).
 pub fn render_pixel<E: Encoding>(
     model: &NerfModel<E>,
     occupancy: &OccupancyGrid,
     ray: &Ray,
     config: &PipelineConfig,
 ) -> Vec3 {
+    let mut color = config.background;
     let mut scratch = RayScratch::new();
-    shade_ray(model, occupancy, ray, config, config.early_stop, &mut scratch).0
+    shade_rays(model, occupancy, config, config.early_stop, [*ray], &mut scratch, |shaded| {
+        color = shaded.color
+    });
+    color
 }
 
 /// Renders a full frame through the end-to-end pipeline, dispatching
@@ -126,15 +192,15 @@ pub fn render_image<E: Encoding>(
         width.max(1),
         RayScratch::new,
         |_, range, scratch| {
-            range
-                .map(|i| {
-                    let ray = camera.ray_for_pixel((i % width) as u32, (i / width) as u32);
-                    shade_ray(model, occupancy, &ray, config, config.early_stop, scratch).0
-                })
+            let mut row = Vec::with_capacity(range.len());
+            let rays = pixel_rays(camera, range);
+            shade_rays(model, occupancy, config, config.early_stop, rays, scratch, |shaded| {
                 // lint: allow(h2): per-chunk pixel buffer is the
                 // parallel dispatch's return convention — one
-                // allocation per chunk, amortized over its rays
-                .collect()
+                // allocation per chunk, sized up front
+                row.push(shaded.color)
+            });
+            row
         },
     );
     let mut img = Image::new(camera.width(), camera.height());
@@ -185,17 +251,17 @@ pub fn render_views_into<E: Encoding>(
             let Some(camera) = cameras.get(view) else {
                 return (view, 0u32, Vec::new(), 0u64);
             };
+            let width = camera.width() as usize;
+            let start = y as usize * width;
             let mut samples = 0u64;
-            let row: Vec<Vec3> = (0..camera.width())
-                .map(|x| {
-                    let ray = camera.ray_for_pixel(x, y);
-                    let p = shade_ray(model, occupancy, &ray, config, config.early_stop, scratch).0;
-                    samples += scratch.samples.len() as u64;
-                    p
-                })
+            let mut row = Vec::with_capacity(width);
+            let rays = pixel_rays(camera, start..start + width);
+            shade_rays(model, occupancy, config, config.early_stop, rays, scratch, |shaded| {
+                samples += shaded.ts.len() as u64;
                 // lint: allow(h2): per-chunk pixel buffer — see
                 // render_image
-                .collect();
+                row.push(shaded.color)
+            });
             (view, y, row, samples)
         },
     );
@@ -239,14 +305,13 @@ pub fn render_image_probed<E: Encoding>(
             RayScratch::new,
             |_, range, scratch: &mut RayScratch| {
                 let before = scratch.kernel.probes;
-                let pixels = range
-                    .map(|i| {
-                        let ray = camera.ray_for_pixel((i % width) as u32, (i / width) as u32);
-                        shade_ray(model, occupancy, &ray, config, config.early_stop, scratch).0
-                    })
+                let mut pixels = Vec::with_capacity(range.len());
+                let rays = pixel_rays(camera, range);
+                shade_rays(model, occupancy, config, config.early_stop, rays, scratch, |shaded| {
                     // lint: allow(h2): per-chunk pixel buffer — see
                     // render_image
-                    .collect();
+                    pixels.push(shaded.color)
+                });
                 (pixels, scratch.kernel.probes.diff(&before))
             },
         );
@@ -274,15 +339,22 @@ pub fn render_pixel_depth<E: Encoding>(
     ray: &Ray,
     config: &PipelineConfig,
 ) -> Option<f32> {
+    let mut depth = None;
     let mut scratch = RayScratch::new();
-    shade_ray_depth(model, occupancy, ray, config, &mut scratch)
+    // Early stop must be off: the weighted-mean depth needs every
+    // sample's exact blend weight.
+    shade_rays(model, occupancy, config, false, [*ray], &mut scratch, |shaded| {
+        depth = shaded.depth()
+    });
+    depth
 }
 
 /// Renders a normalized depth map: nearer surfaces brighter, rays
 /// that escape black. The normalization divides by the frame's
 /// maximum depth. Depths evaluate one pixel row per work chunk across
-/// the pool; the max-depth reduction runs serially over the
-/// raster-ordered result, so the frame is thread-count independent.
+/// the pool, with early stop off (see [`render_pixel_depth`]); the
+/// max-depth reduction runs serially over the raster-ordered result,
+/// so the frame is thread-count independent.
 pub fn render_depth_image<E: Encoding>(
     model: &NerfModel<E>,
     occupancy: &OccupancyGrid,
@@ -296,14 +368,14 @@ pub fn render_depth_image<E: Encoding>(
         width.max(1),
         RayScratch::new,
         |_, range, scratch| {
-            range
-                .map(|i| {
-                    let ray = camera.ray_for_pixel((i % width) as u32, (i / width) as u32);
-                    shade_ray_depth(model, occupancy, &ray, config, scratch)
-                })
+            let mut row = Vec::with_capacity(range.len());
+            let rays = pixel_rays(camera, range);
+            shade_rays(model, occupancy, config, false, rays, scratch, |shaded| {
                 // lint: allow(h2): per-chunk depth buffer — see
                 // render_image
-                .collect()
+                row.push(shaded.depth())
+            });
+            row
         },
     );
     let max = depths.iter().flatten().cloned().fold(0.0f32, f32::max).max(1e-6);

@@ -8,7 +8,8 @@
 //! oracle's independent one-sample-at-a-time loops. These tests
 //! enforce the contract at batch sizes 0, 1, 7, 64, and 1000 —
 //! deliberately including sizes that are not multiples of the GEMM
-//! tile widths — and re-check thread-count independence on the
+//! tile widths — check that a multi-ray render tile matches per-ray
+//! scalar evaluation, and re-check thread-count independence on the
 //! batched pipeline.
 
 use fusion3d_nerf::batch::{KernelScratch, SampleBatch};
@@ -18,8 +19,9 @@ use fusion3d_nerf::math::{Ray, Vec3};
 use fusion3d_nerf::mlp::{Activation, Mlp, MlpBatchCache};
 use fusion3d_nerf::model::{ModelConfig, NerfModel};
 use fusion3d_nerf::occupancy::OccupancyGrid;
-use fusion3d_nerf::pipeline::{render_image, PipelineConfig};
+use fusion3d_nerf::pipeline::{render_image, render_views_into, PipelineConfig};
 use fusion3d_nerf::reference;
+use fusion3d_nerf::render::{composite, ShadedSample};
 use fusion3d_nerf::sampler::{sample_ray, sample_ray_into, SamplerConfig};
 use fusion3d_nerf::trainer::{Trainer, TrainerConfig};
 use fusion3d_nerf::{Dataset, ProceduralScene, SyntheticScene};
@@ -224,6 +226,70 @@ fn model_forward_batch_infer_is_bitwise_scalar() {
 }
 
 #[test]
+fn model_forward_rays_infer_is_bitwise_per_ray_reference() {
+    // A render tile: rays of 0, 1, 3, 4, 5 and 64 samples laid end to
+    // end, repeated until the tile crosses the pipeline's 256-sample
+    // flush (308 samples), each ray with its own direction. Every
+    // segment must carry the bits of a per-ray scalar evaluation.
+    let model = test_model(30);
+    let lengths: Vec<usize> = [0, 1, 3, 4, 5, 64].repeat(4);
+    let mut rng = SmallRng::seed_from_u64(33);
+    let mut pts = Vec::new();
+    let mut segments = Vec::new();
+    for (r, &len) in lengths.iter().enumerate() {
+        pts.extend(positions(len, 1300 + r as u64));
+        let dir = Vec3::new(rng.gen::<f32>() - 0.5, rng.gen::<f32>() - 0.5, rng.gen::<f32>() - 0.5);
+        segments.push((pts.len(), dir.normalize()));
+    }
+    assert!(pts.len() > 256, "the tile must cross the flush threshold");
+    let mut scratch = KernelScratch::new();
+    model.forward_rays_infer(&pts, &segments, &mut scratch);
+    let mut start = 0;
+    for (r, &(end, dir)) in segments.iter().enumerate() {
+        let (scalar_sigma, scalar_color) = reference::model_forward(&model, &pts[start..end], dir);
+        assert_bits_eq(&scratch.sigma()[start..end], &scalar_sigma, &format!("tile sigma ray {r}"));
+        let tile_rgb: Vec<f32> =
+            scratch.color()[start..end].iter().flat_map(|c| c.to_array()).collect();
+        let scalar_rgb: Vec<f32> = scalar_color.iter().flat_map(|c| c.to_array()).collect();
+        assert_bits_eq(&tile_rgb, &scalar_rgb, &format!("tile color ray {r}"));
+        start = end;
+    }
+}
+
+#[test]
+fn tiled_render_is_bitwise_the_per_ray_reference() {
+    // Full occupancy gives every row far more than one tile of
+    // samples, so rows flush mid-row; every pixel must still equal a
+    // per-ray scalar render (sample, oracle forward, composite).
+    let model = test_model(41);
+    let mut occupancy = OccupancyGrid::new(8, 0.0);
+    occupancy.fill();
+    let pose = orbit_poses(Vec3::splat(0.5), 1.2, 3)[1];
+    let camera = Camera::new(pose, 24, 20, 0.9);
+    let config = PipelineConfig::default();
+    let image = render_image(&model, &occupancy, &camera, &config);
+    let mut row_samples = 0;
+    for y in 0..camera.height() {
+        for x in 0..camera.width() {
+            let ray = camera.ray_for_pixel(x, y);
+            let (samples, _) = sample_ray(&ray, &occupancy, &config.sampler);
+            row_samples += samples.len();
+            let pts: Vec<Vec3> = samples.iter().map(|s| s.position).collect();
+            let (sigma, color) = reference::model_forward(&model, &pts, ray.direction);
+            let shaded: Vec<ShadedSample> = samples
+                .iter()
+                .zip(sigma.iter().zip(&color))
+                .map(|(s, (&sigma, &color))| ShadedSample { sigma, color, dt: s.dt })
+                .collect();
+            let expected = composite(&shaded, config.background, config.early_stop).color;
+            let got = image.pixels()[(y * camera.width() + x) as usize];
+            assert_eq!(got.to_array().map(f32::to_bits), expected.to_array().map(f32::to_bits));
+        }
+    }
+    assert!(row_samples > 2 * 256 * camera.height() as usize, "rows must span several tiles");
+}
+
+#[test]
 fn model_backward_batch_is_bitwise_scalar() {
     let model = test_model(31);
     let dir = Vec3::new(-0.2, 0.5, 0.7).normalize();
@@ -300,6 +366,43 @@ fn batched_pipeline_bits(threads: usize) -> (Vec<u32>, Vec<u32>) {
         image.pixels().iter().flat_map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]).collect();
     set_thread_override(None);
     (params, pixels)
+}
+
+/// A frame through `render_image` and three views through
+/// `render_views_into` with `threads` workers, as raw bits, plus the
+/// views' retained sample counts.
+fn tiled_render_bits(threads: usize) -> (Vec<u32>, Vec<u32>, Vec<u64>) {
+    set_thread_override(Some(threads));
+    let model = test_model(53);
+    let scene = ProceduralScene::synthetic(SyntheticScene::Lego);
+    let occupancy = scene.occupancy_grid(16);
+    let config = PipelineConfig::default();
+    let poses = orbit_poses(Vec3::splat(0.5), 1.2, 3);
+    let cameras: Vec<Camera> = poses.iter().map(|&p| Camera::new(p, 20, 12, 0.9)).collect();
+    let image = render_image(&model, &occupancy, &cameras[0], &config);
+    let mut frames = vec![vec![Vec3::ZERO; 20 * 12]; cameras.len()];
+    let mut samples = vec![0u64; cameras.len()];
+    {
+        let mut slices: Vec<&mut [Vec3]> = frames.iter_mut().map(|f| f.as_mut_slice()).collect();
+        render_views_into(&model, &occupancy, &cameras, &config, &mut slices, &mut samples);
+    }
+    set_thread_override(None);
+    let bits = |pixels: &[Vec3]| -> Vec<u32> {
+        pixels.iter().flat_map(|p| p.to_array().map(f32::to_bits)).collect()
+    };
+    (bits(image.pixels()), bits(&frames.concat()), samples)
+}
+
+#[test]
+fn tiled_render_and_views_are_bitwise_identical_across_thread_counts() {
+    let (image_1, views_1, samples_1) = tiled_render_bits(1);
+    let (image_4, views_4, samples_4) = tiled_render_bits(4);
+    assert_eq!(image_1, image_4, "render_image diverged between 1 and 4 threads");
+    assert_eq!(views_1, views_4, "render_views_into diverged between 1 and 4 threads");
+    assert_eq!(samples_1, samples_4, "view sample counts diverged between 1 and 4 threads");
+    // The first view is the render_image frame.
+    assert_eq!(image_1, views_1[..image_1.len()], "multi-view kernel diverged from render_image");
+    assert!(samples_1.iter().all(|&n| n > 0), "every view must retain samples");
 }
 
 #[test]

@@ -59,8 +59,11 @@ impl SceneRegistry {
     ///
     /// [`ServeError::BudgetTooSmall`] when any single container
     /// exceeds `budget_bytes` (it could never be made resident), and
-    /// [`ServeError::Decode`] when a container header is malformed or
-    /// its shape disagrees with the registered architecture.
+    /// [`ServeError::Decode`] when a container header is malformed,
+    /// claims an occupancy resolution of 0 or more bytes than the
+    /// container holds, or its shape disagrees with the registered
+    /// architecture. Each header is checked before anything sized by
+    /// it is allocated.
     pub fn new(store: &SceneStore, budget_bytes: u64) -> Result<Self, ServeError> {
         let mut slots = Vec::with_capacity(store.len());
         for k in 0..store.len() as u32 {
@@ -74,21 +77,28 @@ impl SceneRegistry {
                     budget_bytes,
                 });
             }
+            // A header claiming more bytes than its container holds
+            // (e.g. a bitmap larger than the container) must not size
+            // an allocation, so check it before building anything.
+            let decode_error = |source| ServeError::Decode { scene: k, source };
+            let stored = store.container(id).map_or(0, |c| c.len() as u64);
+            if bytes > stored {
+                return Err(decode_error(io::DecodeError::Truncated));
+            }
+            let resolution = header.occupancy_resolution;
+            let occupancy = OccupancyGrid::try_new(resolution, 0.0)
+                .ok_or_else(|| decode_error(io::DecodeError::BadOccupancyResolution(resolution)))?;
             let config = *store.config(id).ok_or(ServeError::UnknownScene(k))?;
             // Shell parameters are fully overwritten on load; the
             // seed only has to be deterministic, not meaningful.
             let mut rng = SmallRng::seed_from_u64(k as u64);
             let model = NerfModel::new(config, &mut rng);
             if header.param_count() != model.param_count() as u64 {
-                return Err(ServeError::Decode {
-                    scene: k,
-                    source: io::DecodeError::ShapeMismatch {
-                        expected: (model.param_count() as u64, 0, 0),
-                        found: header.param_counts,
-                    },
-                });
+                return Err(decode_error(io::DecodeError::ShapeMismatch {
+                    expected: (model.param_count() as u64, 0, 0),
+                    found: header.param_counts,
+                }));
             }
-            let occupancy = OccupancyGrid::new(header.occupancy_resolution, 0.0);
             slots.push(Slot { model, occupancy, resident: false, bytes, last_use: 0 });
         }
         Ok(Self {
@@ -217,6 +227,7 @@ impl SceneRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusion3d_nerf::math::Vec3;
 
     fn fixture() -> (SceneStore, u64) {
         let store = SceneStore::synthetic(4);
@@ -277,6 +288,38 @@ mod tests {
         let (store, per_scene) = fixture();
         let err = SceneRegistry::new(&store, per_scene - 1).expect_err("too small");
         assert!(matches!(err, ServeError::BudgetTooSmall { scene: 0, .. }), "{err}");
+    }
+
+    /// Scene 0's container with its header's occupancy resolution
+    /// (the last field of the 40-byte header prefix) overwritten.
+    fn store_with_resolution(resolution: u32) -> SceneStore {
+        let source = SceneStore::synthetic(1);
+        let mut container = source.container(SceneId(0)).expect("container").to_vec();
+        container[36..40].copy_from_slice(&resolution.to_le_bytes());
+        let config = *source.config(SceneId(0)).expect("config");
+        let mut store = SceneStore::new();
+        store.register("crafted", config, Vec3::ONE, container);
+        store
+    }
+
+    #[test]
+    fn crafted_occupancy_resolutions_return_errors() {
+        // Resolution 0 used to reach the asserting grid constructor;
+        // 3000 (a 3.4 GB bitmap claimed by a container of a few KB)
+        // used to abort on a ~108 GB allocation under an unlimited
+        // budget.
+        for (resolution, expected) in
+            [(0, io::DecodeError::BadOccupancyResolution(0)), (3000, io::DecodeError::Truncated)]
+        {
+            let store = store_with_resolution(resolution);
+            assert_eq!(store.header(SceneId(0)).expect("header").occupancy_resolution, resolution);
+            let err = SceneRegistry::new(&store, u64::MAX).expect_err("crafted header");
+            assert_eq!(err, ServeError::Decode { scene: 0, source: expected }, "{resolution}");
+        }
+        // The untouched container still builds a registry.
+        let valid = SceneStore::synthetic(1);
+        let resolution = valid.header(SceneId(0)).expect("header").occupancy_resolution;
+        assert!(SceneRegistry::new(&store_with_resolution(resolution), u64::MAX).is_ok());
     }
 
     #[test]

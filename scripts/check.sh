@@ -43,6 +43,10 @@ for key in '"schema": "fusion3d-serve-v1"' p50_latency_cycles p99_latency_cycles
   grep -q "$key" target/BENCH_serve_smoke.json \
     || { echo "BENCH_serve smoke missing key: $key"; exit 1; }
 done
+# The host benchmark (hostbench/) is a Cargo workspace of its own, so
+# the workspace runs above never build it; its tests build it against
+# the crates' current APIs and smoke-run every job.
+cargo test --offline -q --manifest-path hostbench/Cargo.toml
 # Docs must not rot: every relative link in the Markdown tree resolves.
 ./scripts/check_doc_links.sh
 echo "All tier-1 checks passed."
