@@ -48,63 +48,15 @@ use crate::graph::{fn_item, CallGraph};
 use crate::intervals::{is_float_type, is_int_type, type_bits, type_range, Interval};
 use crate::lexer::{Token, TokenKind};
 use crate::parse::FnItem;
-use crate::rules::{test_mask, AllowUsage, Finding, ACCOUNTING_FILES};
-use crate::SourceFile;
-
-/// Files under the A2 overflow-bounds contract: quantized arithmetic
-/// plus every cycle/energy/byte accounting module. The float-heavy
-/// balance/moe/system models in `multichip` are out of scope — their
-/// results are `f64` end to end.
-const A2_FILES: &[&str] = &[
-    "crates/arith/src/cost.rs",
-    "crates/arith/src/fiem.rs",
-    "crates/core/src/bandwidth.rs",
-    "crates/core/src/energy.rs",
-    "crates/core/src/pipeline_sim.rs",
-    "crates/mem/src/banks.rs",
-    "crates/mem/src/energy.rs",
-    "crates/mem/src/interconnect.rs",
-    "crates/mem/src/sram.rs",
-    "crates/multichip/src/chiplet.rs",
-    "crates/multichip/src/comm.rs",
-    "crates/nerf/src/mlp_int8.rs",
-];
-
-/// Files under the A4 quantization-width audit: the INT8 MLP and the
-/// fixed-point exact-integer multiply path.
-const A4_FILES: &[&str] = &["crates/arith/src/fiem.rs", "crates/nerf/src/mlp_int8.rs"];
+use crate::scope::Scope;
+use crate::tokens::{depth0, find_depth0, match_angles, match_close, place_start, split_depth0};
+use crate::{Reporter, SourceFile};
 
 /// `+` is checked only below this operand width: 64-bit totals carry
 /// deliberate headroom (a u64 cycle counter cannot overflow in any
 /// simulated workload), and demanding proofs there would bury the
 /// real hazards in allows.
 const PLUS_CHECK_BELOW_BITS: u32 = 64;
-
-/// Which rule families apply to the current file.
-#[derive(Debug, Clone, Copy, Default)]
-struct Scope {
-    a2: bool,
-    a3: bool,
-    a4: bool,
-    /// File is also in A1 scope: `as` casts there are A1's business,
-    /// so A2 skips cast checks to avoid double findings.
-    a1: bool,
-}
-
-impl Scope {
-    fn of(path: &str) -> Scope {
-        Scope {
-            a2: A2_FILES.contains(&path),
-            a3: ACCOUNTING_FILES.contains(&path),
-            a4: A4_FILES.contains(&path),
-            a1: ACCOUNTING_FILES.contains(&path),
-        }
-    }
-
-    fn any(self) -> bool {
-        self.a2 || self.a3 || self.a4
-    }
-}
 
 /// One abstract value: an interval plus the metadata the checks need.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,10 +152,10 @@ enum Summary {
     Done(AbsVal),
 }
 
-struct Analyzer<'a> {
+struct Analyzer<'a, 'r> {
     files: &'a [SourceFile],
     graph: &'a CallGraph,
-    usage: &'a mut [AllowUsage],
+    out: &'a mut Reporter<'r>,
     consts: BTreeMap<String, AbsVal>,
     /// `(struct name, field name)` → `(first, last)` type segment.
     fields: BTreeMap<(String, String), (String, String)>,
@@ -213,32 +165,19 @@ struct Analyzer<'a> {
     prim_aliases: BTreeMap<String, String>,
     fn_by_name: BTreeMap<String, Vec<usize>>,
     summaries: Vec<Summary>,
-    masks: Vec<Vec<bool>>,
-    findings: Vec<Finding>,
 }
 
-/// Runs A2/A3/A4 over the workspace, recording fired suppressions
-/// into `usage` (for U1).
-pub(crate) fn check(
-    files: &[SourceFile],
-    graph: &CallGraph,
-    usage: &mut [AllowUsage],
-) -> Vec<Finding> {
-    let mut a = Analyzer::new(files, graph, usage);
+/// Runs A2/A3/A4 over the workspace.
+pub(crate) fn check(files: &[SourceFile], graph: &CallGraph, out: &mut Reporter<'_>) {
+    let mut a = Analyzer::new(files, graph, out);
     a.build_consts();
     a.audit_consts();
     for node in 0..graph.nodes.len() {
-        let path = files[graph.nodes[node].file].path.as_str();
-        let scope = Scope::of(path);
-        if scope.any() {
+        let scope = Scope::of(&files[graph.nodes[node].file].path);
+        if scope.a1 || scope.a2 || scope.a4 {
             a.analyze_fn(node, scope, false);
         }
     }
-    let mut findings = a.findings;
-    findings
-        .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    findings.dedup_by(|a, b| a.rule == b.rule && a.path == b.path && a.line == b.line);
-    findings
 }
 
 /// The A3 unit of an identifier, from the annotation table the rule
@@ -259,92 +198,6 @@ fn unit_of_name(name: &str) -> Option<String> {
         return None;
     };
     Some(unit.to_string())
-}
-
-fn match_close(toks: &[Token], open: usize, open_text: &str, close_text: &str) -> usize {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < toks.len() {
-        let t = toks[i].text.as_str();
-        if t == open_text {
-            depth += 1;
-        } else if t == close_text {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-        i += 1;
-    }
-    toks.len().saturating_sub(1)
-}
-
-fn match_open(toks: &[Token], close: usize, open_text: &str, close_text: &str) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut i = close as isize;
-    while i >= 0 {
-        let t = toks[i as usize].text.as_str();
-        if t == close_text {
-            depth += 1;
-        } else if t == open_text {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i as usize);
-            }
-        }
-        i -= 1;
-    }
-    None
-}
-
-fn is_open(t: &str) -> bool {
-    matches!(t, "(" | "[" | "{")
-}
-
-fn is_close(t: &str) -> bool {
-    matches!(t, ")" | "]" | "}")
-}
-
-/// Splits `[lo, hi)` on depth-0 occurrences of single-token `sep`.
-fn split_depth0(toks: &[Token], lo: usize, hi: usize, sep: &str) -> Vec<(usize, usize)> {
-    let mut parts = Vec::new();
-    let mut depth = 0i32;
-    let mut start = lo;
-    let mut i = lo;
-    while i < hi {
-        let t = toks[i].text.as_str();
-        if is_open(t) {
-            depth += 1;
-        } else if is_close(t) {
-            depth -= 1;
-        } else if depth == 0 && t == sep {
-            parts.push((start, i));
-            start = i + 1;
-        }
-        i += 1;
-    }
-    parts.push((start, hi));
-    parts
-}
-
-/// First depth-0 position of single-token `what` in `[lo, hi)`.
-fn find_depth0(toks: &[Token], lo: usize, hi: usize, what: &str) -> Option<usize> {
-    let mut depth = 0i32;
-    for (i, t) in toks.iter().enumerate().take(hi).skip(lo) {
-        let t = t.text.as_str();
-        // Match before the depth bookkeeping so that searching for an
-        // opener (`{` — every control-flow body lookup) or a closer
-        // still succeeds at depth 0.
-        if depth == 0 && t == what {
-            return Some(i);
-        }
-        if is_open(t) {
-            depth += 1;
-        } else if is_close(t) {
-            depth -= 1;
-        }
-    }
-    None
 }
 
 /// Joined token texts of `[lo, hi)` — the canonical place string.
@@ -444,8 +297,8 @@ fn hull0(iv: Interval) -> Interval {
     iv.join(Interval::singleton(0))
 }
 
-impl<'a> Analyzer<'a> {
-    fn new(files: &'a [SourceFile], graph: &'a CallGraph, usage: &'a mut [AllowUsage]) -> Self {
+impl<'a, 'r> Analyzer<'a, 'r> {
+    fn new(files: &'a [SourceFile], graph: &'a CallGraph, out: &'a mut Reporter<'r>) -> Self {
         let mut fields = BTreeMap::new();
         let mut field_fallback: BTreeMap<String, Option<(String, String)>> = BTreeMap::new();
         let mut prim_aliases = BTreeMap::new();
@@ -470,49 +323,26 @@ impl<'a> Analyzer<'a> {
         for (idx, node) in graph.nodes.iter().enumerate() {
             fn_by_name.entry(fn_item(files, node).name.clone()).or_default().push(idx);
         }
-        let masks = files.iter().map(|f| test_mask(&f.lexed.tokens)).collect();
         let summaries = graph.nodes.iter().map(|_| Summary::NotStarted).collect();
         Analyzer {
             files,
             graph,
-            usage,
+            out,
             consts: BTreeMap::new(),
             fields,
             field_fallback,
             prim_aliases,
             fn_by_name,
             summaries,
-            masks,
-            findings: Vec::new(),
         }
     }
 
+    /// Passes a finding to the workspace reporter, except during the
+    /// quiet passes that only compute summaries and constants.
     fn report(&mut self, cx: &Cx<'a>, rules: &[&'static str], line: u32, message: String) {
-        if cx.quiet {
-            return;
+        if !cx.quiet {
+            self.out.report(cx.file, rules, line, message);
         }
-        let lexed = &self.files[cx.file].lexed;
-        for rule in rules {
-            if let Some(directive_line) = lexed.allow_line(rule, line) {
-                self.usage[cx.file].insert((directive_line, rule.to_ascii_lowercase()));
-                return;
-            }
-        }
-        // Suppression keys are lowercase (`a2`), published rule IDs
-        // uppercase, matching the D/P/H families.
-        let rule = match rules[0] {
-            "a2" => "A2",
-            "a3" => "A3",
-            "a4" => "A4",
-            other => other,
-        };
-        self.findings.push(Finding {
-            rule,
-            path: self.files[cx.file].path.clone(),
-            line,
-            message,
-            id: String::new(),
-        });
     }
 
     fn resolve_ty(&self, name: &str) -> String {
@@ -529,7 +359,7 @@ impl<'a> Analyzer<'a> {
             for file_idx in 0..self.files.len() {
                 let parsed = &self.files[file_idx].parsed;
                 for c in parsed.consts.clone() {
-                    if self.masks[file_idx].get(c.init.0).copied().unwrap_or(false) {
+                    if self.files[file_idx].parsed.in_test.get(c.init.0).copied().unwrap_or(false) {
                         continue;
                     }
                     let mut cx = self.fresh_cx(file_idx, Scope::default(), true, None);
@@ -558,13 +388,12 @@ impl<'a> Analyzer<'a> {
     /// named constants themselves, so drift fails in CI.
     fn audit_consts(&mut self) {
         for file_idx in 0..self.files.len() {
-            let path = self.files[file_idx].path.clone();
-            if !A4_FILES.contains(&path.as_str()) {
+            let scope = Scope::of(&self.files[file_idx].path);
+            if !scope.a4 {
                 continue;
             }
-            let scope = Scope::of(&path);
             for c in self.files[file_idx].parsed.consts.clone() {
-                if self.masks[file_idx].get(c.init.0).copied().unwrap_or(false) {
+                if self.files[file_idx].parsed.in_test.get(c.init.0).copied().unwrap_or(false) {
                     continue;
                 }
                 let Some(val) = self.consts.get(&c.name).cloned() else { continue };
@@ -575,7 +404,7 @@ impl<'a> Analyzer<'a> {
                     if worst > i32::MAX as i128 {
                         self.report(
                             &cx,
-                            &["a4"],
+                            &["A4"],
                             c.line,
                             format!(
                                 "`{}` = {hi} breaks the i8*i8->i32 exactness claim: \
@@ -589,7 +418,7 @@ impl<'a> Analyzer<'a> {
                 if c.name.contains("MAX_INT") && hi > 1 << 24 {
                     self.report(
                         &cx,
-                        &["a4"],
+                        &["A4"],
                         c.line,
                         format!(
                             "`{}` = {hi} exceeds 2^24: an f32 significand times \
@@ -683,7 +512,7 @@ impl<'a> Analyzer<'a> {
 
 // ------------------------------------------------------- statements
 
-impl<'a> Analyzer<'a> {
+impl<'a> Analyzer<'a, '_> {
     /// Walks the statements of a block `{ … }` (`open`/`close` are
     /// the brace token indexes); returns the trailing expression's
     /// value, or ⊤ when the block ends with a statement.
@@ -742,7 +571,7 @@ impl<'a> Analyzer<'a> {
                 }
                 "unsafe" => i += 1,
                 "{" => {
-                    let c = match_close(cx.toks, i, "{", "}");
+                    let c = match_close(cx.toks, i);
                     last = self.analyze_block(cx, i, c);
                     trailing = true;
                     i = c + 1;
@@ -750,7 +579,7 @@ impl<'a> Analyzer<'a> {
                 "#" => {
                     // Attribute: skip `#[…]`.
                     if i + 1 < close && cx.toks[i + 1].text == "[" {
-                        i = match_close(cx.toks, i + 1, "[", "]") + 1;
+                        i = match_close(cx.toks, i + 1) + 1;
                     } else {
                         i += 1;
                     }
@@ -761,7 +590,7 @@ impl<'a> Analyzer<'a> {
                     let semi = find_depth0(cx.toks, i, close, ";");
                     i = match (body, semi) {
                         (Some(b), Some(s)) if s < b => s + 1,
-                        (Some(b), _) => match_close(cx.toks, b, "{", "}") + 1,
+                        (Some(b), _) => match_close(cx.toks, b) + 1,
                         (None, Some(s)) => s + 1,
                         (None, None) => close,
                     };
@@ -830,7 +659,7 @@ impl<'a> Analyzer<'a> {
         let mut end = stmt_end;
         if p < stmt_end && cx.toks[p].text == "else" && p + 1 < close && cx.toks[p + 1].text == "{"
         {
-            let c = match_close(cx.toks, p + 1, "{", "}");
+            let c = match_close(cx.toks, p + 1);
             self.analyze_block(cx, p + 1, c);
             end = find_depth0(cx.toks, c + 1, close, ";").unwrap_or(close);
         }
@@ -858,13 +687,13 @@ impl<'a> Analyzer<'a> {
                 }
             }
             let name_unit = unit_of_name(&name);
-            if cx.scope.a3 {
+            if cx.scope.a1 {
                 if let (Some(nu), Some(vu)) = (name_unit.as_deref(), val.unit.as_deref()) {
                     if nu != vu {
                         let line = cx.toks[i].line;
                         self.report(
                             cx,
-                            &["a3"],
+                            &["A3"],
                             line,
                             format!(
                                 "binding named in {nu} initialised from a {vu} value; \
@@ -902,33 +731,22 @@ impl<'a> Analyzer<'a> {
     /// token before the `=`, but with a column gap it closes a generic
     /// argument list rather than forming `>=`.
     fn find_plain_eq(&self, cx: &Cx<'a>, lo: usize, hi: usize) -> Option<usize> {
-        let adjacent = |a: usize, b: usize| {
-            cx.toks[a].line == cx.toks[b].line && cx.toks[a].col + 1 == cx.toks[b].col
-        };
-        let mut depth = 0i32;
-        for i in lo..hi {
-            let t = cx.toks[i].text.as_str();
-            if is_open(t) {
-                depth += 1;
-            } else if is_close(t) {
-                depth -= 1;
-            } else if depth == 0 && t == "=" {
-                let prev = if i > lo { cx.toks[i - 1].text.as_str() } else { "" };
-                let next = if i + 1 < hi { cx.toks[i + 1].text.as_str() } else { "" };
-                if (next == "=" || next == ">") && adjacent(i, i + 1) {
-                    continue;
-                }
-                if matches!(
-                    prev,
-                    "=" | "<" | ">" | "!" | "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^"
-                ) && adjacent(i - 1, i)
-                {
-                    continue;
-                }
-                return Some(i);
+        let toks = cx.toks;
+        let adjacent =
+            |a: usize, b: usize| toks[a].line == toks[b].line && toks[a].col + 1 == toks[b].col;
+        depth0(toks, lo, hi).find(|&i| {
+            if toks[i].text != "=" {
+                return false;
             }
-        }
-        None
+            let prev = if i > lo { toks[i - 1].text.as_str() } else { "" };
+            let next = if i + 1 < hi { toks[i + 1].text.as_str() } else { "" };
+            let fused_next = (next == "=" || next == ">") && adjacent(i, i + 1);
+            let fused_prev = matches!(
+                prev,
+                "=" | "<" | ">" | "!" | "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^"
+            ) && adjacent(i - 1, i);
+            !fused_next && !fused_prev
+        })
     }
 
     /// `assert!`/`debug_assert!` statements refine the environment;
@@ -945,7 +763,7 @@ impl<'a> Analyzer<'a> {
         {
             return None;
         }
-        let c = match_close(cx.toks, i + 2, "(", ")");
+        let c = match_close(cx.toks, i + 2);
         let args = split_depth0(cx.toks, i + 3, c, ",");
         if eq_form {
             if args.len() >= 2 {
@@ -966,9 +784,7 @@ impl<'a> Analyzer<'a> {
     /// Returns the index after the statement when matched.
     fn try_assign(&mut self, cx: &mut Cx<'a>, i: usize, close: usize) -> Option<usize> {
         let mut j = i;
-        let mut derefs = 0usize;
         while j < close && cx.toks[j].text == "*" {
-            derefs += 1;
             j += 1;
         }
         let place_start = j;
@@ -986,7 +802,7 @@ impl<'a> Analyzer<'a> {
                 }
                 j += 2;
             } else if j < close && cx.toks[j].text == "[" {
-                j = match_close(cx.toks, j, "[", "]") + 1;
+                j = match_close(cx.toks, j) + 1;
             } else {
                 break;
             }
@@ -1020,7 +836,6 @@ impl<'a> Analyzer<'a> {
         let stmt_end = find_depth0(cx.toks, j + op_len, close, ";").unwrap_or(close);
         let mut p = j + op_len;
         let rhs = self.eval(cx, &mut p, stmt_end, 0, false);
-        let _ = derefs;
         self.do_assign(cx, &place, op, line, rhs);
         Some(stmt_end + 1)
     }
@@ -1086,7 +901,7 @@ impl<'a> Analyzer<'a> {
 
 // ----------------------------------------------- control flow, loops
 
-impl<'a> Analyzer<'a> {
+impl<'a> Analyzer<'a, '_> {
     /// `if cond { … } [else if … | else { … }]` as an expression:
     /// condition atoms refine the then-branch; branch environments
     /// join afterwards.
@@ -1107,7 +922,7 @@ impl<'a> Analyzer<'a> {
             let mut p = cond_lo;
             self.eval(cx, &mut p, open, 0, true);
         }
-        let c1 = match_close(cx.toks, open, "{", "}");
+        let c1 = match_close(cx.toks, open);
         let base = cx.env.clone();
         if is_let {
             if let Some(eq) = self.find_plain_eq(cx, cond_lo, open) {
@@ -1124,7 +939,7 @@ impl<'a> Analyzer<'a> {
             let (v2, ni) = if cx.toks.get(e).is_some_and(|t| t.text == "if") {
                 self.if_expr(cx, e, close)
             } else if cx.toks.get(e).is_some_and(|t| t.text == "{") {
-                let c2 = match_close(cx.toks, e, "{", "}");
+                let c2 = match_close(cx.toks, e);
                 (self.analyze_block(cx, e, c2), c2 + 1)
             } else {
                 (AbsVal::unknown(), e)
@@ -1146,17 +961,17 @@ impl<'a> Analyzer<'a> {
         };
         let mut p = i + 1;
         self.eval(cx, &mut p, open, 0, true);
-        let c = match_close(cx.toks, open, "{", "}");
+        let c = match_close(cx.toks, open);
         let base = cx.env.clone();
         let mut value: Option<AbsVal> = None;
         let mut joined: Option<Env> = None;
         let mut j = open + 1;
         while j < c {
-            let Some(arrow) = find_fat_arrow(cx.toks, j, c) else { break };
+            let Some(arrow) = find_pair0(cx.toks, j, c, ["=", ">"]) else { break };
             cx.env = base.clone();
             self.bind_pattern_unknown(cx, j, arrow);
             let (v, next) = if cx.toks.get(arrow + 2).is_some_and(|t| t.text == "{") {
-                let bc = match_close(cx.toks, arrow + 2, "{", "}");
+                let bc = match_close(cx.toks, arrow + 2);
                 let v = self.analyze_block(cx, arrow + 2, bc);
                 let mut n = bc + 1;
                 if cx.toks.get(n).is_some_and(|t| t.text == ",") {
@@ -1185,9 +1000,9 @@ impl<'a> Analyzer<'a> {
     }
 
     fn for_loop(&mut self, cx: &mut Cx<'a>, i: usize, close: usize) -> usize {
-        let Some(kw_in) = find_depth0_ident(cx.toks, i + 1, close, "in") else { return close };
+        let Some(kw_in) = find_depth0(cx.toks, i + 1, close, "in") else { return close };
         let Some(open) = find_depth0(cx.toks, kw_in + 1, close, "{") else { return close };
-        let c = match_close(cx.toks, open, "{", "}");
+        let c = match_close(cx.toks, open);
 
         // Loop variable value and trip count from the iterable.
         let (var_val, trip) = self.for_iterable(cx, kw_in + 1, open);
@@ -1228,7 +1043,7 @@ impl<'a> Analyzer<'a> {
 
     /// Evaluates a `for` iterable: `(element value, trip interval)`.
     fn for_iterable(&mut self, cx: &mut Cx<'a>, lo: usize, hi: usize) -> (AbsVal, Interval) {
-        if let Some(dots) = find_range_dots(cx.toks, lo, hi) {
+        if let Some(dots) = find_pair0(cx.toks, lo, hi, [".", "."]) {
             let incl = cx.toks.get(dots + 2).is_some_and(|t| t.text == "=");
             let rhs_lo = dots + if incl { 3 } else { 2 };
             let mut p = lo;
@@ -1281,7 +1096,7 @@ impl<'a> Analyzer<'a> {
     fn while_loop(&mut self, cx: &mut Cx<'a>, i: usize, close: usize) -> usize {
         let is_let = cx.toks.get(i + 1).is_some_and(|t| t.text == "let");
         let Some(open) = find_depth0(cx.toks, i + 1, close, "{") else { return close };
-        let c = match_close(cx.toks, open, "{", "}");
+        let c = match_close(cx.toks, open);
         let pre = cx.env.clone();
         let accs = self.havoc_mutations(cx, open, c, &pre);
         // Evaluate the condition against the havocked state (it runs
@@ -1306,7 +1121,7 @@ impl<'a> Analyzer<'a> {
 
     fn loop_loop(&mut self, cx: &mut Cx<'a>, i: usize, close: usize) -> usize {
         let Some(open) = find_depth0(cx.toks, i + 1, close, "{") else { return close };
-        let c = match_close(cx.toks, open, "{", "}");
+        let c = match_close(cx.toks, open);
         let pre = cx.env.clone();
         let accs = self.havoc_mutations(cx, open, c, &pre);
         cx.loops.push(LoopCtx { trip: Interval::TOP, accs });
@@ -1361,56 +1176,11 @@ fn join_envs(a: &Env, b: &Env) -> Env {
     out
 }
 
-/// Depth-0 `=>` position in `[lo, hi)`.
-fn find_fat_arrow(toks: &[Token], lo: usize, hi: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut i = lo;
-    while i + 1 < hi {
-        let t = toks[i].text.as_str();
-        if is_open(t) {
-            depth += 1;
-        } else if is_close(t) {
-            depth -= 1;
-        } else if depth == 0 && t == "=" && toks[i + 1].text == ">" {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Depth-0 identifier-token position (for the `in` of a `for`).
-fn find_depth0_ident(toks: &[Token], lo: usize, hi: usize, what: &str) -> Option<usize> {
-    let mut depth = 0i32;
-    for (i, tok) in toks.iter().enumerate().take(hi.min(toks.len())).skip(lo) {
-        let t = tok.text.as_str();
-        if is_open(t) {
-            depth += 1;
-        } else if is_close(t) {
-            depth -= 1;
-        } else if depth == 0 && t == what && tok.kind == TokenKind::Ident {
-            return Some(i);
-        }
-    }
-    None
-}
-
-/// Depth-0 `..` position (two adjacent `.` tokens) in `[lo, hi)`.
-fn find_range_dots(toks: &[Token], lo: usize, hi: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut i = lo;
-    while i + 1 < hi {
-        let t = toks[i].text.as_str();
-        if is_open(t) {
-            depth += 1;
-        } else if is_close(t) {
-            depth -= 1;
-        } else if depth == 0 && t == "." && toks[i + 1].text == "." {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
+/// First depth-0 position in `[lo, hi)` of the two-token operator
+/// `op` (`=>`, `..`, `||` — the lexer splits them into single-char
+/// tokens).
+fn find_pair0(toks: &[Token], lo: usize, hi: usize, op: [&str; 2]) -> Option<usize> {
+    depth0(toks, lo, hi).find(|&i| i + 1 < hi && toks[i].text == op[0] && toks[i + 1].text == op[1])
 }
 
 /// Trims a trailing `.iter()` / `.iter().copied()` / … chain off an
@@ -1463,10 +1233,10 @@ fn scan_mutations(toks: &[Token], open: usize, close: usize) -> BTreeMap<String,
             "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^" => (false, i - 1),
             _ => (true, i),
         };
-        if let Some((start, place)) = walk_back_place(toks, place_end, open) {
+        if let Some(start) = place_start(toks, place_end, open) {
             let before = if start > open { toks[start - 1].text.as_str() } else { "" };
             if before != "let" && before != "mut" {
-                let entry = out.entry(place).or_insert((false, 0));
+                let entry = out.entry(span_text(toks, start, place_end)).or_insert((false, 0));
                 entry.0 |= plain;
                 entry.1 += 1;
             }
@@ -1476,47 +1246,9 @@ fn scan_mutations(toks: &[Token], open: usize, close: usize) -> BTreeMap<String,
     out
 }
 
-/// Walks backward from `end` (exclusive) over a place expression;
-/// returns its start index and canonical string. Leading derefs are
-/// stripped (`*x = v` mutates `x`'s referent — havocking `x` is the
-/// sound response).
-fn walk_back_place(toks: &[Token], end: usize, lo: usize) -> Option<(usize, String)> {
-    let mut j = end;
-    loop {
-        if j == lo {
-            return None;
-        }
-        let t = &toks[j - 1];
-        match t.text.as_str() {
-            "]" => {
-                let o = match_open(toks, j - 1, "[", "]")?;
-                if o == lo {
-                    return None;
-                }
-                j = o;
-            }
-            _ if matches!(t.kind, TokenKind::Ident | TokenKind::Int) => {
-                j -= 1;
-                if j > lo && toks[j - 1].text == "." {
-                    j -= 1;
-                } else {
-                    break;
-                }
-            }
-            _ => return None,
-        }
-    }
-    let mut start = j;
-    while start > lo && toks[start - 1].text == "*" {
-        start -= 1;
-    }
-    let text_start = (start..end).find(|&k| toks[k].text != "*").unwrap_or(start);
-    Some((start, span_text(toks, text_start, end)))
-}
-
 // ------------------------------------------------------ refinements
 
-impl<'a> Analyzer<'a> {
+impl<'a> Analyzer<'a, '_> {
     /// Applies a boolean condition's refinements to the environment:
     /// splits on top-level `&&` and narrows each comparison atom
     /// (`||` conjuncts refine nothing — either side could hold).
@@ -1530,15 +1262,14 @@ impl<'a> Analyzer<'a> {
         let mut lo = lo;
         let mut hi = hi;
         // Unwrap a fully parenthesised atom.
-        while hi > lo + 1 && cx.toks[lo].text == "(" && match_close(cx.toks, lo, "(", ")") == hi - 1
-        {
+        while hi > lo + 1 && cx.toks[lo].text == "(" && match_close(cx.toks, lo) == hi - 1 {
             lo += 1;
             hi -= 1;
         }
         if hi <= lo {
             return;
         }
-        if contains_orbar(cx.toks, lo, hi) {
+        if find_pair0(cx.toks, lo, hi, ["|", "|"]).is_some() {
             return;
         }
         // `(a..=b).contains(&x)`.
@@ -1651,7 +1382,7 @@ impl<'a> Analyzer<'a> {
         if cx.toks[lo].text != "(" {
             return false;
         }
-        let c = match_close(cx.toks, lo, "(", ")");
+        let c = match_close(cx.toks, lo);
         if c + 3 >= hi
             || cx.toks[c + 1].text != "."
             || cx.toks[c + 2].text != "contains"
@@ -1659,7 +1390,7 @@ impl<'a> Analyzer<'a> {
         {
             return false;
         }
-        let argc = match_close(cx.toks, c + 3, "(", ")");
+        let argc = match_close(cx.toks, c + 3);
         let mut arg_lo = c + 4;
         while arg_lo < argc && cx.toks[arg_lo].text == "&" {
             arg_lo += 1;
@@ -1668,7 +1399,7 @@ impl<'a> Analyzer<'a> {
             return false;
         }
         let place = span_text(cx.toks, arg_lo, argc);
-        let Some(dots) = find_range_dots(cx.toks, lo + 1, c) else { return false };
+        let Some(dots) = find_pair0(cx.toks, lo + 1, c, [".", "."]) else { return false };
         let incl = cx.toks.get(dots + 2).is_some_and(|t| t.text == "=");
         let mut p = lo + 1;
         let a = self.eval(cx, &mut p, dots, 0, true);
@@ -1713,80 +1444,41 @@ impl<'a> Analyzer<'a> {
 /// Splits `[lo, hi)` on depth-0 `&&` (two adjacent `&` tokens).
 fn split_on_andand(toks: &[Token], lo: usize, hi: usize) -> Vec<(usize, usize)> {
     let mut parts = Vec::new();
-    let mut depth = 0i32;
     let mut start = lo;
-    let mut i = lo;
-    while i < hi {
-        let t = toks[i].text.as_str();
-        if is_open(t) {
-            depth += 1;
-        } else if is_close(t) {
-            depth -= 1;
-        } else if depth == 0 && t == "&" && i + 1 < hi && toks[i + 1].text == "&" {
-            // Unary `&&x` (double reference) only occurs after an
-            // operator or at the start; after an operand it is the
-            // logical and.
-            let prev_operand = i > lo
-                && (matches!(
-                    toks[i - 1].kind,
-                    TokenKind::Ident | TokenKind::Int | TokenKind::Float
-                ) || is_close(toks[i - 1].text.as_str()));
-            if prev_operand {
-                parts.push((start, i));
-                start = i + 2;
-                i += 2;
-                continue;
-            }
+    for i in depth0(toks, lo, hi) {
+        // Unary `&&x` (double reference) only occurs after an operator
+        // or at the start; after an operand it is the logical and.
+        let after_operand = i > lo
+            && (matches!(toks[i - 1].kind, TokenKind::Ident | TokenKind::Int | TokenKind::Float)
+                || matches!(toks[i - 1].text.as_str(), ")" | "]" | "}"));
+        if after_operand && i + 1 < hi && toks[i].text == "&" && toks[i + 1].text == "&" {
+            parts.push((start, i));
+            start = i + 2;
         }
-        i += 1;
     }
     parts.push((start, hi));
     parts
 }
 
-/// Whether `[lo, hi)` contains a depth-0 logical `||`.
-fn contains_orbar(toks: &[Token], lo: usize, hi: usize) -> bool {
-    let mut depth = 0i32;
-    let mut i = lo;
-    while i + 1 < hi {
-        let t = toks[i].text.as_str();
-        if is_open(t) {
-            depth += 1;
-        } else if is_close(t) {
-            depth -= 1;
-        } else if depth == 0 && t == "|" && toks[i + 1].text == "|" {
-            return true;
-        }
-        i += 1;
-    }
-    false
-}
-
 /// The top-level comparison operator of `[lo, hi)`:
 /// `(position, op, token length)`.
 fn find_cmp(toks: &[Token], lo: usize, hi: usize) -> Option<(usize, &'static str, usize)> {
-    let mut depth = 0i32;
-    let mut i = lo;
-    while i < hi {
-        let t = toks[i].text.as_str();
-        if is_open(t) {
-            depth += 1;
-        } else if is_close(t) {
-            depth -= 1;
-        } else if depth == 0 {
-            let next = if i + 1 < hi { toks[i + 1].text.as_str() } else { "" };
-            match (t, next) {
-                ("<", "=") => return Some((i, "<=", 2)),
-                (">", "=") => return Some((i, ">=", 2)),
-                ("=", "=") => return Some((i, "==", 2)),
-                ("!", "=") => return Some((i, "!=", 2)),
-                ("<", "<") | (">", ">") => i += 1, // shift, not cmp
-                ("<", _) => return Some((i, "<", 1)),
-                (">", _) => return Some((i, ">", 1)),
-                _ => {}
-            }
+    let mut shift_end = lo;
+    for i in depth0(toks, lo, hi) {
+        if i < shift_end {
+            continue;
         }
-        i += 1;
+        let next = if i + 1 < hi { toks[i + 1].text.as_str() } else { "" };
+        match (toks[i].text.as_str(), next) {
+            ("<", "=") => return Some((i, "<=", 2)),
+            (">", "=") => return Some((i, ">=", 2)),
+            ("=", "=") => return Some((i, "==", 2)),
+            ("!", "=") => return Some((i, "!=", 2)),
+            ("<", "<") | (">", ">") => shift_end = i + 2, // shift, not cmp
+            ("<", _) => return Some((i, "<", 1)),
+            (">", _) => return Some((i, ">", 1)),
+            _ => {}
+        }
     }
     None
 }
@@ -1823,7 +1515,7 @@ fn peek_binop(toks: &[Token], p: usize, end: usize) -> Option<(&'static str, u8,
     })
 }
 
-impl<'a> Analyzer<'a> {
+impl<'a> Analyzer<'a, '_> {
     /// Precedence-climbing expression evaluation over `[p, end)`;
     /// advances `p` past the parsed expression. `no_struct` disables
     /// `Name { … }` struct literals (condition position).
@@ -1948,7 +1640,7 @@ impl<'a> Analyzer<'a> {
             }
             TokenKind::Punct => match tok.text.as_str() {
                 "(" => {
-                    let c = match_close(cx.toks, *p, "(", ")");
+                    let c = match_close(cx.toks, *p);
                     let inner_lo = *p + 1;
                     let v = if c <= inner_lo {
                         AbsVal::unknown()
@@ -1958,7 +1650,7 @@ impl<'a> Analyzer<'a> {
                             self.eval(cx, &mut q, ahi, 0, false);
                         }
                         AbsVal::unknown()
-                    } else if let Some(dots) = find_range_dots(cx.toks, inner_lo, c) {
+                    } else if let Some(dots) = find_pair0(cx.toks, inner_lo, c, [".", "."]) {
                         let mut q = inner_lo;
                         self.eval(cx, &mut q, dots, 0, false);
                         let incl = cx.toks.get(dots + 2).is_some_and(|t| t.text == "=");
@@ -2027,30 +1719,11 @@ impl<'a> Analyzer<'a> {
         // `|params| body` — at primary position `||` is the empty
         // parameter list.
         *p += 1;
-        let params_end = if *p < end && cx.toks[*p].text == "|" {
-            *p
-        } else {
-            let mut depth = 0i32;
-            let mut i = *p;
-            loop {
-                if i >= end {
-                    break i;
-                }
-                let t = cx.toks[i].text.as_str();
-                if is_open(t) {
-                    depth += 1;
-                } else if is_close(t) {
-                    depth -= 1;
-                } else if depth == 0 && t == "|" {
-                    break i;
-                }
-                i += 1;
-            }
-        };
+        let params_end = find_depth0(cx.toks, *p, end, "|").unwrap_or(end);
         self.bind_pattern_unknown(cx, *p, params_end);
         *p = params_end + 1;
         if *p < end && cx.toks[*p].text == "{" {
-            let c = match_close(cx.toks, *p, "{", "}");
+            let c = match_close(cx.toks, *p);
             self.analyze_block(cx, *p, c);
             *p = c + 1;
         } else if *p < end {
@@ -2085,7 +1758,7 @@ impl<'a> Analyzer<'a> {
             && cx.toks[*p + 1].text == ":"
             && cx.toks[*p + 2].text == "<"
         {
-            *p = skip_generics(cx.toks, *p + 2, end);
+            *p = (match_angles(cx.toks, *p + 2) + 1).min(end);
         }
         let next = cx.toks.get(*p).map(|t| t.text.as_str()).unwrap_or("");
         if next == "!" {
@@ -2093,13 +1766,8 @@ impl<'a> Analyzer<'a> {
             let name = segs.last().cloned().unwrap_or_default();
             *p += 1;
             let open = cx.toks.get(*p).map(|t| t.text.as_str()).unwrap_or("");
-            if is_open(open) {
-                let close_text = match open {
-                    "(" => ")",
-                    "[" => "]",
-                    _ => "}",
-                };
-                let c = match_close(cx.toks, *p, open, close_text);
+            if matches!(open, "(" | "[" | "{") {
+                let c = match_close(cx.toks, *p);
                 // `debug_assert!` in expression position still refines.
                 if matches!(name.as_str(), "assert" | "debug_assert") {
                     let args = split_depth0(cx.toks, *p + 1, c, ",");
@@ -2119,7 +1787,7 @@ impl<'a> Analyzer<'a> {
             return (AbsVal::unknown(), None);
         }
         if next == "(" {
-            let c = match_close(cx.toks, *p, "(", ")");
+            let c = match_close(cx.toks, *p);
             let arg_vals = self.eval_args(cx, *p + 1, c);
             *p = c + 1;
             return (self.resolve_call(cx, &segs, arg_vals, cx.toks[start].line), None);
@@ -2129,7 +1797,7 @@ impl<'a> Analyzer<'a> {
             && segs.last().is_some_and(|s| s.chars().next().is_some_and(|c| c.is_uppercase()))
         {
             // Struct literal: evaluate field initialisers for checks.
-            let c = match_close(cx.toks, *p, "{", "}");
+            let c = match_close(cx.toks, *p);
             for (flo, fhi) in split_depth0(cx.toks, *p + 1, c, ",") {
                 let vlo = find_depth0(cx.toks, flo, fhi, ":").map(|k| k + 1).unwrap_or(flo);
                 if vlo < fhi {
@@ -2270,7 +1938,7 @@ impl<'a> Analyzer<'a> {
 
 // -------------------------------------------- postfix, methods, casts
 
-impl<'a> Analyzer<'a> {
+impl<'a> Analyzer<'a, '_> {
     fn postfix(
         &mut self,
         cx: &mut Cx<'a>,
@@ -2296,10 +1964,10 @@ impl<'a> Analyzer<'a> {
                                 && cx.toks[after + 1].text == ":"
                                 && cx.toks[after + 2].text == "<"
                             {
-                                after = skip_generics(cx.toks, after + 2, end);
+                                after = (match_angles(cx.toks, after + 2) + 1).min(end);
                             }
                             if cx.toks.get(after).is_some_and(|t| t.text == "(") {
-                                let c = match_close(cx.toks, after, "(", ")");
+                                let c = match_close(cx.toks, after);
                                 let line = next.line;
                                 let args = self.eval_args(cx, after + 1, c);
                                 let new_place = (name == "len" && args.is_empty())
@@ -2332,8 +2000,8 @@ impl<'a> Analyzer<'a> {
                     }
                 }
                 "[" => {
-                    let c = match_close(cx.toks, *p, "[", "]");
-                    let is_slice = find_range_dots(cx.toks, *p + 1, c).is_some();
+                    let c = match_close(cx.toks, *p);
+                    let is_slice = find_pair0(cx.toks, *p + 1, c, [".", "."]).is_some();
                     if c > *p + 1 && !is_slice {
                         let mut q = *p + 1;
                         self.eval(cx, &mut q, c, 0, false);
@@ -2596,7 +2264,7 @@ impl<'a> Analyzer<'a> {
                     };
                     self.report(
                         cx,
-                        &["a4", "a2"],
+                        &["A4", "A2"],
                         line,
                         format!(
                             "float->{ty} cast with unproven interval {}: cannot show the \
@@ -2618,7 +2286,7 @@ impl<'a> Analyzer<'a> {
             if cx.scope.a2 && !cx.scope.a1 {
                 self.report(
                     cx,
-                    &["a2"],
+                    &["A2"],
                     line,
                     format!(
                         "narrowing cast to `{ty}` with unproven interval {}: add a \
@@ -2629,7 +2297,7 @@ impl<'a> Analyzer<'a> {
             } else if cx.scope.a4 {
                 self.report(
                     cx,
-                    &["a4", "a2"],
+                    &["A4", "A2"],
                     line,
                     format!(
                         "narrowing cast to `{ty}` with unproven interval {} in a \
@@ -2651,7 +2319,7 @@ impl<'a> Analyzer<'a> {
 
 // ------------------------------------------------- binary operators
 
-impl<'a> Analyzer<'a> {
+impl<'a> Analyzer<'a, '_> {
     /// Applies a binary operator with the A2 overflow and A3 unit
     /// checks, returning the (type-normalised) result value.
     fn apply_bin(&mut self, cx: &mut Cx<'a>, op: &str, line: u32, l: AbsVal, r: AbsVal) -> AbsVal {
@@ -2735,7 +2403,7 @@ impl<'a> Analyzer<'a> {
                     if amt_hi > (bits - 1) as i128 {
                         self.report(
                             cx,
-                            &["a2"],
+                            &["A2"],
                             line,
                             format!(
                                 "shift amount interval {} can reach {amt_hi} on a \
@@ -2751,7 +2419,7 @@ impl<'a> Analyzer<'a> {
                 let what = if accumulator { "loop accumulation" } else { opname(op) };
                 self.report(
                     cx,
-                    &["a2"],
+                    &["A2"],
                     line,
                     format!(
                         "{what} on `{ty}` has unproven result interval {} ⊄ {}; \
@@ -2772,14 +2440,14 @@ impl<'a> Analyzer<'a> {
 
     /// A3: flags a cross-unit additive operation or comparison.
     fn check_units(&mut self, cx: &mut Cx<'a>, what: &str, line: u32, l: &AbsVal, r: &AbsVal) {
-        if !cx.scope.a3 {
+        if !cx.scope.a1 {
             return;
         }
         if let (Some(lu), Some(ru)) = (l.unit.as_deref(), r.unit.as_deref()) {
             if lu != ru {
                 self.report(
                     cx,
-                    &["a3"],
+                    &["A3"],
                     line,
                     format!(
                         "{what} mixes units: {lu} vs {ru}; convert explicitly or \
@@ -2818,7 +2486,7 @@ fn opname(op: &str) -> &'static str {
 /// A3 unit algebra for `*` and `/`; reports unit-erasing divisions.
 fn result_unit<'a>(
     cx: &Cx<'a>,
-    a: &mut Analyzer<'a>,
+    a: &mut Analyzer<'a, '_>,
     op: &str,
     line: u32,
     l: &AbsVal,
@@ -2833,10 +2501,10 @@ fn result_unit<'a>(
         "/" => match (l.unit.as_deref(), r.unit.as_deref()) {
             (Some(lu), Some(ru)) if lu == ru => None, // dimensionless ratio
             (Some(lu), Some(ru)) => {
-                if cx.scope.a3 {
+                if cx.scope.a1 {
                     a.report(
                         cx,
-                        &["a3"],
+                        &["A3"],
                         line,
                         format!(
                             "unit-erasing division: {lu} / {ru} drops both unit tags; \
@@ -2884,25 +2552,4 @@ fn fmt_iv(iv: Interval) -> String {
             format!("[{}, {}]", b(lo), b(hi))
         }
     }
-}
-
-/// Skips a `<…>` generic-argument list starting at `open` (a `<`),
-/// returning the index after the matching `>`.
-fn skip_generics(toks: &[Token], open: usize, end: usize) -> usize {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < end {
-        match toks[i].text.as_str() {
-            "<" => depth += 1,
-            ">" => {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    end
 }

@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 
 use crate::lexer::TokenKind;
 use crate::parse::{FnItem, ParsedFile, NON_CALL_KEYWORDS};
-use crate::rules::crate_of;
+use crate::scope::crate_of;
 use crate::SourceFile;
 
 /// One function in the workspace.

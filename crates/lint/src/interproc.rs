@@ -43,62 +43,17 @@
 //!   `static mut` name — is a scheduling-dependent side channel.
 //!   `crates/par` itself is exempt (its index-addressed result slots
 //!   *are* the deterministic dispatch mechanism), mirroring D3.
-//! * **U1 — suppression hygiene.** Every `// lint: allow(…)` must
-//!   carry a reason (`): why` or `) -- why`), and every suppressed
-//!   rule must actually suppress something; stale allows are
-//!   reported so the escape-hatch inventory stays honest. A
-//!   directive listing `u1` opts out of the unused check (for
-//!   deliberately prophylactic allows) but still needs a reason.
+//!
+//! Entry points, source crates and the par combinators come from the
+//! [`scope`](crate::scope) table.
 
 use std::collections::BTreeSet;
 
 use crate::graph::{direct_spans, fn_item, CallGraph};
 use crate::lexer::{Token, TokenKind};
-use crate::rules::{AllowUsage, Finding, RESULT_BEARING_CRATES};
-use crate::SourceFile;
-
-/// Hot-path entry points of `fusion3d-nerf` for H2: the render
-/// surfaces and their tile routine, the batched and multi-ray
-/// forward/backward kernels, and the training step.
-const H2_ENTRY_NAMES: &[&str] = &[
-    "render_image",
-    "render_image_probed",
-    "render_pixel",
-    "render_pixel_depth",
-    "render_depth_image",
-    "render_views_into",
-    "trace_frame",
-    "shade_rays",
-    "flush_tile",
-    "forward_batch",
-    "forward_batch_infer",
-    "forward_rays_infer",
-    "backward_batch",
-    "interpolate_batch",
-    "interpolate_batch_infer",
-    "step",
-];
-
-/// Hot-path entry points of `fusion3d-serve` for H2: the steady-state
-/// request path — admission, batch drain, and batched render. The
-/// trace event loop (`run_trace`) and the registry miss path
-/// (`ensure_resident`) are deliberately *not* entries: a container
-/// load is the cold path by definition and may allocate while
-/// decoding.
-const SERVE_H2_ENTRY_NAMES: &[&str] =
-    &["admit", "pop_batch_into", "render_batch", "touch", "scene"];
-
-/// The deterministic dispatch combinators of `fusion3d-par`; closures
-/// passed to these run on worker threads (D4/D5 scope).
-const PAR_COMBINATORS: &[&str] = &[
-    "parallel_chunks",
-    "parallel_chunks_with",
-    "parallel_chunks_with_stats",
-    "parallel_map_reduce",
-    "parallel_flat_map",
-    "parallel_flat_map_with",
-    "run_tasks",
-];
+use crate::scope::{is_h2_entry, Scope, PAR_COMBINATORS};
+use crate::tokens::{depth0, depth0_by, find_depth0, match_close, place_start};
+use crate::{Reporter, SourceFile};
 
 /// Interior-mutability / shared-state type names (D5).
 const INTERIOR_MUT_TYPES: &[&str] = &[
@@ -158,59 +113,21 @@ const ALLOC_METHODS: &[&str] = &["push", "collect", "clone", "to_vec", "to_strin
 /// H2 allocation sources matched as `name!` macros.
 const ALLOC_MACROS: &[&str] = &["format", "vec"];
 
-/// Runs P2, H2, D4 and D5 over the workspace, recording every
-/// suppression that fires into `usage` (for U1).
-pub fn check(files: &[SourceFile], graph: &CallGraph, usage: &mut [AllowUsage]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    check_p2(files, graph, usage, &mut findings);
-    check_h2(files, graph, usage, &mut findings);
-    check_par_closures(files, graph, usage, &mut findings);
-    findings
-        .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    findings.dedup_by(|a, b| a.rule == b.rule && a.path == b.path && a.line == b.line);
-    findings
-}
-
-/// Reports a finding at `line` of `files[file_idx]` unless an allow
-/// for any of `rules` covers it; a matching allow is recorded as used.
-fn report(
-    files: &[SourceFile],
-    usage: &mut [AllowUsage],
-    file_idx: usize,
-    rules: &[&'static str],
-    line: u32,
-    message: String,
-    findings: &mut Vec<Finding>,
-) {
-    let lexed = &files[file_idx].lexed;
-    for rule in rules {
-        if let Some(directive_line) = lexed.allow_line(rule, line) {
-            usage[file_idx].insert((directive_line, rule.to_ascii_lowercase()));
-            return;
-        }
-    }
-    findings.push(Finding {
-        rule: rules[0],
-        path: files[file_idx].path.clone(),
-        line,
-        message,
-        id: String::new(),
-    });
+/// Runs P2, H2, D4 and D5 over the workspace.
+pub(crate) fn check(files: &[SourceFile], graph: &CallGraph, out: &mut Reporter<'_>) {
+    check_p2(files, graph, out);
+    check_h2(files, graph, out);
+    check_par_closures(files, graph, out);
 }
 
 // ---------------------------------------------------------------- P2
 
-fn check_p2(
-    files: &[SourceFile],
-    graph: &CallGraph,
-    usage: &mut [AllowUsage],
-    findings: &mut Vec<Finding>,
-) {
+fn check_p2(files: &[SourceFile], graph: &CallGraph, out: &mut Reporter<'_>) {
     // Entries: public non-test fns of result-bearing crates.
     let entries: Vec<usize> = (0..graph.nodes.len())
         .filter(|&n| {
             let node = &graph.nodes[n];
-            RESULT_BEARING_CRATES.contains(&node.krate.as_str()) && fn_item(files, node).is_pub
+            Scope::of(&files[node.file].path).p2 && fn_item(files, node).is_pub
         })
         .collect();
     let parents = graph.reachable_from(&entries);
@@ -220,12 +137,10 @@ fn check_p2(
             continue;
         }
         let node = &graph.nodes[n];
-        // Sources only matter inside result-bearing crates: a call
-        // that crosses into `bench`/`lint` leaves the library surface.
-        if !RESULT_BEARING_CRATES.contains(&node.krate.as_str()) {
+        let file = &files[node.file];
+        if !Scope::of(&file.path).p2 {
             continue;
         }
-        let file = &files[node.file];
         let toks = &file.lexed.tokens;
         let item = fn_item(files, node);
         let spans = direct_spans(&file.parsed, node.fn_index);
@@ -245,14 +160,11 @@ fn check_p2(
                     && prev == "."
                     && next == "("
                 {
-                    report(
-                        files,
-                        usage,
+                    out.report(
                         node.file,
                         &["P2", "P1"],
                         t.line,
                         format!("`.{text}()` can panic and is reachable from public API: {via}"),
-                        findings,
                     );
                 }
                 // (b) panic-family macros.
@@ -260,14 +172,11 @@ fn check_p2(
                     && crate::rules::PANIC_MACROS.contains(&text)
                     && next == "!"
                 {
-                    report(
-                        files,
-                        usage,
+                    out.report(
                         node.file,
                         &["P2", "P1"],
                         t.line,
                         format!("`{text}!` is reachable from public API: {via}"),
-                        findings,
                     );
                 }
                 // (c) indexing/slicing involving an unguarded param.
@@ -275,9 +184,7 @@ fn check_p2(
                     && matches!(toks.get(i.wrapping_sub(1)), Some(p) if p.kind == TokenKind::Ident || p.text == ")" || p.text == "]")
                 {
                     if let Some(param) = index_involves_param(toks, i, hi, item, &guarded) {
-                        report(
-                            files,
-                            usage,
+                        out.report(
                             node.file,
                             &["P2"],
                             t.line,
@@ -286,7 +193,6 @@ fn check_p2(
                                  in `{name}`; out-of-range input panics on a public path: {via}",
                                 name = item.name
                             ),
-                            findings,
                         );
                     }
                 }
@@ -302,9 +208,7 @@ fn check_p2(
                     && !matches!(toks.get(i + 2).map(|t| t.text.as_str()), Some("." | "("))
                     && next != "="
                 {
-                    report(
-                        files,
-                        usage,
+                    out.report(
                         node.file,
                         &["P2"],
                         t.line,
@@ -314,7 +218,6 @@ fn check_p2(
                             param = toks[i + 1].text,
                             name = item.name
                         ),
-                        findings,
                     );
                 }
             }
@@ -339,24 +242,14 @@ fn guarded_params(toks: &[Token], spans: &[(usize, usize)], params: &[String]) -
                 && toks.get(i + 1).is_some_and(|t| t.text == "!")
                 && toks.get(i + 2).is_some_and(|t| t.text == "(")
             {
-                let close = match_close(toks, i + 2, "(", ")");
+                let close = match_close(toks, i + 2);
                 mark_mentions(toks, i + 3, close.min(hi), params, &mut guarded);
                 i = close + 1;
                 continue;
             }
             if matches!(text, "if" | "while" | "match") {
                 // Head: tokens up to the `{` at depth 0.
-                let mut j = i + 1;
-                let mut depth = 0i32;
-                while j < hi {
-                    match toks[j].text.as_str() {
-                        "(" | "[" => depth += 1,
-                        ")" | "]" => depth -= 1,
-                        "{" if depth == 0 => break,
-                        _ => {}
-                    }
-                    j += 1;
-                }
+                let j = find_depth0(toks, i + 1, hi, "{").unwrap_or(hi);
                 mark_mentions(toks, i + 1, j, params, &mut guarded);
                 i = j;
                 continue;
@@ -404,7 +297,7 @@ fn index_involves_param(
     let hazard = |t: &Token| {
         t.kind == TokenKind::Ident && item.params.contains(&t.text) && !guarded.contains(&t.text)
     };
-    let close = match_close(toks, open, "[", "]");
+    let close = match_close(toks, open);
     if open > 0 && hazard(&toks[open - 1]) {
         let base = &toks[open - 1].text;
         let const_index =
@@ -424,26 +317,9 @@ fn index_involves_param(
 
 // ---------------------------------------------------------------- H2
 
-fn check_h2(
-    files: &[SourceFile],
-    graph: &CallGraph,
-    usage: &mut [AllowUsage],
-    findings: &mut Vec<Finding>,
-) {
+fn check_h2(files: &[SourceFile], graph: &CallGraph, out: &mut Reporter<'_>) {
     let entries: Vec<usize> = (0..graph.nodes.len())
-        .filter(|&n| {
-            let node = &graph.nodes[n];
-            let item = fn_item(files, node);
-            (node.krate == "nerf"
-                && H2_ENTRY_NAMES.contains(&item.name.as_str())
-                // Bare `step` is a common method name; only the
-                // training loop's own impl is a hot-path entry. The
-                // outer `train` epoch loop is deliberately *not* one:
-                // model/dataset construction before the first step may
-                // allocate freely.
-                && (item.name != "step" || item.self_type.as_deref() == Some("Trainer")))
-                || (node.krate == "serve" && SERVE_H2_ENTRY_NAMES.contains(&item.name.as_str()))
-        })
+        .filter(|&n| is_h2_entry(&graph.nodes[n].krate, fn_item(files, &graph.nodes[n])))
         .collect();
     let parents = graph.reachable_from(&entries);
 
@@ -452,16 +328,13 @@ fn check_h2(
             continue;
         }
         let node = &graph.nodes[n];
-        // Sources only matter inside result-bearing crates: the
+        // Sources only matter where the scope table puts H2: the
         // conservative method resolver can edge into `bench`/`lint`
         // helpers that never link into the render/train binaries.
-        // `par` is exempt like it is from D3/D5 — its per-dispatch
-        // slot vectors and result collection *are* the deterministic
-        // fan-out mechanism, amortized across a whole chunk batch.
-        if !RESULT_BEARING_CRATES.contains(&node.krate.as_str()) || node.krate == "par" {
+        let file = &files[node.file];
+        if !Scope::of(&file.path).h2 {
             continue;
         }
-        let file = &files[node.file];
         let toks = &file.lexed.tokens;
         let via = graph.path_string(files, &parents, n);
 
@@ -489,9 +362,7 @@ fn check_h2(
                     None
                 };
                 if let Some(what) = what {
-                    report(
-                        files,
-                        usage,
+                    out.report(
                         node.file,
                         &["H2", "H1"],
                         t.line,
@@ -499,7 +370,6 @@ fn check_h2(
                             "{what} allocates on the hot path: {via}; reuse a scratch \
                              buffer sized outside the per-sample loop"
                         ),
-                        findings,
                     );
                 }
             }
@@ -509,19 +379,13 @@ fn check_h2(
 
 // ----------------------------------------------------------- D4 / D5
 
-fn check_par_closures(
-    files: &[SourceFile],
-    graph: &CallGraph,
-    usage: &mut [AllowUsage],
-    findings: &mut Vec<Finding>,
-) {
+fn check_par_closures(files: &[SourceFile], graph: &CallGraph, out: &mut Reporter<'_>) {
     for n in 0..graph.nodes.len() {
         let node = &graph.nodes[n];
-        // par's own slot machinery is the dispatch mechanism (cf. D3).
-        if node.krate == "par" {
+        let file = &files[node.file];
+        if !Scope::of(&file.path).d3 {
             continue;
         }
-        let file = &files[node.file];
         let toks = &file.lexed.tokens;
         for (lo, hi) in direct_spans(&file.parsed, node.fn_index) {
             let mut i = lo;
@@ -536,18 +400,10 @@ fn check_par_closures(
                     i += 1;
                     continue;
                 }
-                let args_close = match_close(toks, i + 1, "(", ")");
+                let args_close = match_close(toks, i + 1);
                 for (body_lo, body_hi, declared) in closures_in(toks, i + 2, args_close.min(hi)) {
-                    check_d5(files, usage, node.file, toks, body_lo, body_hi, findings);
-                    check_d4(
-                        files,
-                        usage,
-                        node.file,
-                        toks,
-                        (body_lo, body_hi),
-                        &declared,
-                        findings,
-                    );
+                    check_d5(files, out, node.file, (body_lo, body_hi));
+                    check_d4(files, out, node.file, (body_lo, body_hi), &declared);
                 }
                 i = args_close + 1;
             }
@@ -583,26 +439,13 @@ fn closures_in(toks: &[Token], lo: usize, hi: usize) -> Vec<(usize, usize, BTree
         // Body: a brace block, or an expression up to `,`/`)` at
         // depth 0.
         let body_start = j + 1;
-        let mut end = body_start;
-        if toks.get(body_start).is_some_and(|t| t.text == "{") {
-            end = match_close(toks, body_start, "{", "}") + 1;
+        let end = if toks.get(body_start).is_some_and(|t| t.text == "{") {
+            match_close(toks, body_start) + 1
         } else {
-            let mut depth = 0i32;
-            while end < hi {
-                match toks[end].text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => {
-                        if depth == 0 {
-                            break;
-                        }
-                        depth -= 1;
-                    }
-                    "," if depth == 0 => break,
-                    _ => {}
-                }
-                end += 1;
-            }
-        }
+            depth0(toks, body_start, hi)
+                .find(|&k| matches!(toks[k].text.as_str(), "," | ")" | "]" | "}"))
+                .unwrap_or(hi)
+        };
         let body_hi = end.min(hi);
         collect_declared(toks, body_start, body_hi, &mut declared);
         out.push((body_start, body_hi, declared));
@@ -618,32 +461,28 @@ fn collect_declared(toks: &[Token], lo: usize, hi: usize, declared: &mut BTreeSe
     while i < hi {
         match toks[i].text.as_str() {
             "let" => {
-                // Collect pattern idents up to `=`/`;`, skipping the
-                // type ascription after a depth-0 `:`.
-                let mut j = i + 1;
-                let mut depth = 0i32;
-                let mut in_type = false;
-                while j < hi {
-                    match toks[j].text.as_str() {
-                        "(" | "[" | "<" => depth += 1,
-                        ")" | "]" | ">" => depth -= 1,
-                        "=" if depth == 0 => break,
-                        ";" if depth == 0 => break,
-                        ":" if depth == 0 && toks.get(j + 1).is_some_and(|t| t.text != ":") => {
-                            in_type = true
+                // Pattern idents up to `=`/`;`, before the type
+                // ascription that follows a depth-0 `:`; `<…>` nests.
+                let mut top = depth0_by(toks, i + 1, hi, angle_delta);
+                let mut pat_end = None;
+                let end = top
+                    .find(|&k| {
+                        let t = toks[k].text.as_str();
+                        if t == ":"
+                            && pat_end.is_none()
+                            && toks.get(k + 1).is_some_and(|n| n.text != ":")
+                        {
+                            pat_end = Some(k);
                         }
-                        _ => {
-                            if !in_type
-                                && toks[j].kind == TokenKind::Ident
-                                && !matches!(toks[j].text.as_str(), "mut" | "ref")
-                            {
-                                declared.insert(toks[j].text.clone());
-                            }
-                        }
+                        t == "=" || t == ";"
+                    })
+                    .unwrap_or(hi);
+                for t in &toks[i + 1..pat_end.unwrap_or(end)] {
+                    if t.kind == TokenKind::Ident && !matches!(t.text.as_str(), "mut" | "ref") {
+                        declared.insert(t.text.clone());
                     }
-                    j += 1;
                 }
-                i = j;
+                i = end;
             }
             "for" => {
                 let mut j = i + 1;
@@ -675,17 +514,25 @@ fn collect_declared(toks: &[Token], lo: usize, hi: usize, declared: &mut BTreeSe
     }
 }
 
+/// `(`/`[`/`<` nesting, for `let` patterns with generic type
+/// ascriptions.
+fn angle_delta(t: &str) -> i32 {
+    match t {
+        "(" | "[" | "<" => 1,
+        ")" | "]" | ">" => -1,
+        _ => 0,
+    }
+}
+
 /// D5: interior-mutability / shared-state machinery inside a
 /// par-dispatched closure body.
 fn check_d5(
     files: &[SourceFile],
-    usage: &mut [AllowUsage],
+    out: &mut Reporter<'_>,
     file_idx: usize,
-    toks: &[Token],
-    lo: usize,
-    hi: usize,
-    findings: &mut Vec<Finding>,
+    (lo, hi): (usize, usize),
 ) {
+    let toks = &files[file_idx].lexed.tokens;
     let static_muts = &files[file_idx].parsed.static_muts;
     for i in lo..hi {
         let t = &toks[i];
@@ -708,9 +555,7 @@ fn check_d5(
             None
         };
         if let Some(what) = what {
-            report(
-                files,
-                usage,
+            out.report(
                 file_idx,
                 &["D5"],
                 t.line,
@@ -719,7 +564,6 @@ fn check_d5(
                      workers; results then depend on scheduling — pass per-task \
                      scratch or reduce through the combinator's return value"
                 ),
-                findings,
             );
         }
     }
@@ -729,13 +573,12 @@ fn check_d5(
 /// `(lo, hi)` is the closure body's token span.
 fn check_d4(
     files: &[SourceFile],
-    usage: &mut [AllowUsage],
+    out: &mut Reporter<'_>,
     file_idx: usize,
-    toks: &[Token],
     (lo, hi): (usize, usize),
     declared: &BTreeSet<String>,
-    findings: &mut Vec<Finding>,
 ) {
+    let toks = &files[file_idx].lexed.tokens;
     for i in lo..hi {
         if toks[i].text != "=" || i == 0 {
             continue;
@@ -746,13 +589,12 @@ fn check_d4(
         }
         // `==`, `<=`, `!=` lex as other puncts before `=`; `a + =` is
         // not valid Rust, so `op` here really is a compound assign.
-        let Some(root) = place_root(toks, i - 2, lo) else { continue };
-        if declared.contains(&root) {
+        let Some(start) = place_start(toks, i - 1, lo) else { continue };
+        let root = &toks[start].text;
+        if toks[start].kind != TokenKind::Ident || declared.contains(root) {
             continue;
         }
-        report(
-            files,
-            usage,
+        out.report(
             file_idx,
             &["D4"],
             toks[i].line,
@@ -762,132 +604,6 @@ fn check_d4(
                  scheduling — accumulate into a closure-local and merge in the \
                  combinator's in-order reduce step"
             ),
-            findings,
         );
     }
-}
-
-/// The leftmost identifier of the place expression ending at `end`
-/// (inclusive): walks back over `ident`, `.`, `]…[`, `)…(` and `*`.
-fn place_root(toks: &[Token], end: usize, lo: usize) -> Option<String> {
-    let mut i = end as isize;
-    let lo = lo as isize;
-    let mut root = None;
-    while i >= lo {
-        let t = &toks[i as usize];
-        match t.text.as_str() {
-            "]" => {
-                let open = match_open(toks, i as usize, "[", "]")?;
-                i = open as isize - 1;
-            }
-            ")" => {
-                let open = match_open(toks, i as usize, "(", ")")?;
-                i = open as isize - 1;
-            }
-            "." | "*" => i -= 1,
-            _ if t.kind == TokenKind::Ident => {
-                root = Some(t.text.clone());
-                // Keep walking only across a field/deref chain.
-                if i > lo && toks[i as usize - 1].text == "." {
-                    i -= 1;
-                } else {
-                    break;
-                }
-            }
-            _ => break,
-        }
-    }
-    root
-}
-
-// ---------------------------------------------------------------- U1
-
-/// U1: reasonless and unused suppressions, run after every other rule
-/// has recorded its usage.
-pub fn check_unused(files: &[SourceFile], usage: &[AllowUsage]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (idx, file) in files.iter().enumerate() {
-        for (&line, directive) in &file.lexed.allows {
-            let exempt_unused = directive.rules.iter().any(|r| r == "u1");
-            if !directive.has_reason {
-                findings.push(Finding {
-                    rule: "U1",
-                    path: file.path.clone(),
-                    line,
-                    message: format!(
-                        "suppression of `{}` carries no reason; write \
-                         `// lint: allow({}): why` so the exception is auditable",
-                        directive.rules.join(", "),
-                        directive.rules.join(", ")
-                    ),
-                    id: String::new(),
-                });
-                continue;
-            }
-            if exempt_unused {
-                continue;
-            }
-            let unused: Vec<&str> = directive
-                .rules
-                .iter()
-                .filter(|r| !usage[idx].contains(&(line, (*r).clone())))
-                .map(String::as_str)
-                .collect();
-            if !unused.is_empty() {
-                findings.push(Finding {
-                    rule: "U1",
-                    path: file.path.clone(),
-                    line,
-                    message: format!(
-                        "unused suppression of `{}`: no finding of that rule is \
-                         suppressed here — delete the allow or add `u1` to mark it \
-                         deliberately prophylactic",
-                        unused.join(", ")
-                    ),
-                    id: String::new(),
-                });
-            }
-        }
-    }
-    findings
-}
-
-// ------------------------------------------------------------ shared
-
-/// Index of the close matching the open bracket at `open`.
-fn match_close(toks: &[Token], open: usize, open_text: &str, close_text: &str) -> usize {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < toks.len() {
-        let t = toks[i].text.as_str();
-        if t == open_text {
-            depth += 1;
-        } else if t == close_text {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-        i += 1;
-    }
-    toks.len().saturating_sub(1)
-}
-
-/// Index of the open matching the close bracket at `close`.
-fn match_open(toks: &[Token], close: usize, open_text: &str, close_text: &str) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut i = close as isize;
-    while i >= 0 {
-        let t = toks[i as usize].text.as_str();
-        if t == close_text {
-            depth += 1;
-        } else if t == open_text {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i as usize);
-            }
-        }
-        i -= 1;
-    }
-    None
 }

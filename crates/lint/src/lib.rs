@@ -43,14 +43,15 @@
 
 mod absint;
 pub mod graph;
-pub mod interproc;
+mod interproc;
 pub mod intervals;
 pub mod lexer;
 pub mod parse;
-pub mod rules;
+mod rules;
+pub mod scope;
+mod tokens;
 
-pub use rules::Finding;
-
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -62,8 +63,21 @@ pub struct SourceFile {
     pub path: String,
     /// Token stream and allow directives.
     pub lexed: lexer::LexedFile,
-    /// Item skeleton (fns, uses, statics).
+    /// Item skeleton (fns, uses, statics) and test-code mask.
     pub parsed: parse::ParsedFile,
+}
+
+/// One rule violation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// Rule identifier (`"D1"`, …, `"U1"`).
+    pub rule: &'static str,
+    /// Workspace-relative path (forward slashes).
+    pub path: String,
+    /// 1-based line of the offending token.
+    pub line: u32,
+    /// Human-readable explanation.
+    pub message: String,
 }
 
 /// The outcome of linting a workspace.
@@ -82,11 +96,99 @@ impl Report {
     }
 }
 
+/// The one sink every rule engine reports through. It consults each
+/// file's `// lint: allow(…)` directives and records which ones fired,
+/// which U1 reads once every other rule has run.
+pub(crate) struct Reporter<'a> {
+    files: &'a [SourceFile],
+    /// Per file: `(directive line, lowercase rule)` of every
+    /// suppression that fired.
+    used: Vec<BTreeSet<(u32, String)>>,
+    findings: Vec<Finding>,
+}
+
+impl<'a> Reporter<'a> {
+    fn new(files: &'a [SourceFile]) -> Self {
+        Reporter {
+            files,
+            used: files.iter().map(|_| BTreeSet::new()).collect(),
+            findings: Vec::new(),
+        }
+    }
+
+    /// Reports `message` at `line` of `files[file]` under `rules[0]`,
+    /// unless a directive naming any of `rules` covers the line; that
+    /// directive is then recorded as used.
+    pub(crate) fn report(
+        &mut self,
+        file: usize,
+        rules: &[&'static str],
+        line: u32,
+        message: String,
+    ) {
+        let lexed = &self.files[file].lexed;
+        for rule in rules {
+            if let Some(directive_line) = lexed.allow_line(rule, line) {
+                self.used[file].insert((directive_line, rule.to_ascii_lowercase()));
+                return;
+            }
+        }
+        self.findings.push(Finding {
+            rule: rules[0],
+            path: self.files[file].path.clone(),
+            line,
+            message,
+        });
+    }
+
+    /// U1 — suppression hygiene. Every `// lint: allow(…)` must carry
+    /// a reason (`): why` or `) -- why`), and every suppressed rule
+    /// must actually suppress something; stale allows are reported so
+    /// the escape-hatch inventory stays honest. A directive listing
+    /// `u1` opts out of the unused check (for deliberately
+    /// prophylactic allows) but still needs a reason. No directive
+    /// suppresses U1 itself.
+    fn check_unused(&mut self) {
+        for (idx, file) in self.files.iter().enumerate() {
+            for (&line, directive) in &file.lexed.allows {
+                let rules = directive.rules.join(", ");
+                let message = if !directive.has_reason {
+                    format!(
+                        "suppression of `{rules}` carries no reason; write \
+                         `// lint: allow({rules}): why` so the exception is auditable"
+                    )
+                } else if directive.rules.iter().any(|r| r == "u1") {
+                    continue;
+                } else {
+                    let unused: Vec<&str> = directive
+                        .rules
+                        .iter()
+                        .filter(|r| !self.used[idx].contains(&(line, (*r).clone())))
+                        .map(String::as_str)
+                        .collect();
+                    if unused.is_empty() {
+                        continue;
+                    }
+                    format!(
+                        "unused suppression of `{}`: no finding of that rule is \
+                         suppressed here — delete the allow or add `u1` to mark it \
+                         deliberately prophylactic",
+                        unused.join(", ")
+                    )
+                };
+                self.findings.push(Finding { rule: "U1", path: file.path.clone(), line, message });
+            }
+        }
+    }
+}
+
 /// Lints a set of in-memory sources as one workspace: token-local
-/// rules per file, then the call-graph rules (P2/H2/D4/D5) across all
-/// of them, then U1 over the accumulated suppression usage. Findings
-/// come back sorted by (path, line, rule) — the canonical order every
-/// consumer (CLI, baseline diff, tests) relies on.
+/// rules per file, then the call-graph rules (P2/H2/D4/D5) and the
+/// abstract interpreter (A2/A3/A4) across all of them, then U1 over
+/// the accumulated suppression usage. Findings come back sorted by
+/// (path, line, rule), one per (path, line, rule) — several patterns
+/// can fire on one construct (`std::time::Instant` trips D2 twice),
+/// and the first reported wins.
 pub fn lint_sources(sources: &[(String, String)]) -> Report {
     let mut files: Vec<SourceFile> = sources
         .iter()
@@ -99,92 +201,19 @@ pub fn lint_sources(sources: &[(String, String)]) -> Report {
     let mut parsed: Vec<&mut parse::ParsedFile> = files.iter_mut().map(|f| &mut f.parsed).collect();
     parse::resolve_array_aliases(&mut parsed);
     let files = files;
-    let mut usage: Vec<rules::AllowUsage> =
-        files.iter().map(|_| rules::AllowUsage::new()).collect();
 
-    let mut findings = Vec::new();
-    for (idx, file) in files.iter().enumerate() {
-        findings.extend(rules::check_file(&file.path, &file.lexed, &mut usage[idx]));
-    }
+    let mut out = Reporter::new(&files);
+    rules::check(&files, &mut out);
     let graph = graph::CallGraph::build(&files);
-    findings.extend(interproc::check(&files, &graph, &mut usage));
-    findings.extend(absint::check(&files, &graph, &mut usage));
-    findings.extend(interproc::check_unused(&files, &usage));
+    interproc::check(&files, &graph, &mut out);
+    absint::check(&files, &graph, &mut out);
+    out.check_unused();
 
+    let mut findings = out.findings;
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    assign_finding_ids(&files, &mut findings);
+    findings.dedup_by(|a, b| a.rule == b.rule && a.path == b.path && a.line == b.line);
     Report { findings, files_scanned: files.len() }
-}
-
-/// Assigns every finding its stable identity
-/// `rule:crate:fn-path:snippet-hash[#n]`: the enclosing function
-/// (innermost, by line), the finding line's token text hashed with
-/// FNV-1a, and a `#n` counter for exact duplicates. Baselines diff on
-/// this id, so entries survive line shifts from unrelated edits;
-/// renaming the function or editing the flagged line retires the
-/// entry, which is the desired freshness forcing-function.
-pub fn assign_finding_ids(files: &[SourceFile], findings: &mut [Finding]) {
-    let by_path: std::collections::BTreeMap<&str, &SourceFile> =
-        files.iter().map(|f| (f.path.as_str(), f)).collect();
-    let mut seen: std::collections::BTreeMap<String, u32> = std::collections::BTreeMap::new();
-    for finding in findings.iter_mut() {
-        let file = by_path.get(finding.path.as_str()).copied();
-        let krate = rules::crate_of(&finding.path).unwrap_or("workspace");
-        let fn_path = file.and_then(|f| enclosing_fn(f, finding.line)).unwrap_or_else(|| {
-            let stem = finding.path.rsplit('/').next().unwrap_or(&finding.path);
-            stem.trim_end_matches(".rs").to_string()
-        });
-        let snippet: String = match file {
-            Some(f) => f
-                .lexed
-                .tokens
-                .iter()
-                .filter(|t| t.line == finding.line)
-                .map(|t| t.text.as_str())
-                .collect::<Vec<_>>()
-                .join(" "),
-            None => String::new(),
-        };
-        let base = format!("{}:{}:{}:{:08x}", finding.rule, krate, fn_path, fnv1a(&snippet));
-        let n = seen.entry(base.clone()).or_insert(0);
-        finding.id = if *n == 0 { base } else { format!("{base}#{n}") };
-        *n += 1;
-    }
-}
-
-/// The innermost function whose body covers `line`, rendered as
-/// `Type::name` / `name`.
-fn enclosing_fn(file: &SourceFile, line: u32) -> Option<String> {
-    let toks = &file.lexed.tokens;
-    let mut best: Option<(u32, &parse::FnItem)> = None;
-    for item in &file.parsed.fns {
-        let Some((open, close)) = item.body else { continue };
-        let (Some(start), Some(end)) = (toks.get(open), toks.get(close)) else { continue };
-        if item.line.min(start.line) <= line && line <= end.line {
-            // Innermost = latest-starting span that still covers.
-            if best.is_none_or(|(l, _)| item.line >= l) {
-                best = Some((item.line, item));
-            }
-        }
-    }
-    best.map(|(_, item)| match &item.self_type {
-        Some(t) => format!("{t}::{}", item.name),
-        None => item.name.clone(),
-    })
-}
-
-/// 64-bit FNV-1a over the snippet text (stable across platforms; no
-/// dependency on `std::hash` internals).
-fn fnv1a(s: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // Fold to 32 bits for readable ids; collisions only matter within
-    // one (rule, crate, fn) bucket, where a handful of lines live.
-    (hash >> 32) ^ (hash & 0xffff_ffff)
 }
 
 /// Lints a single source string as if it lived at `rel_path`
@@ -201,6 +230,12 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
 /// directories (`tests/`, `benches/`, `examples/`) are intentionally
 /// out of scope, as is `vendor/`.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
+    Ok(lint_sources(&workspace_sources(root)?))
+}
+
+/// The `(workspace-relative path, source)` pairs [`lint_workspace`]
+/// scans, in sorted path order.
+pub fn workspace_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut files: Vec<PathBuf> = Vec::new();
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
@@ -221,7 +256,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         let source = fs::read_to_string(&path)?;
         sources.push((relative_path(root, &path), source));
     }
-    Ok(lint_sources(&sources))
+    Ok(sources)
 }
 
 /// Locates the workspace root at or above `start` by looking for the

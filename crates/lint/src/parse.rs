@@ -25,7 +25,7 @@
 //!   only their outermost bindings.
 
 use crate::lexer::{LexedFile, Token, TokenKind};
-use crate::rules::test_mask;
+use crate::tokens::{depth0, find_depth0, match_angles, match_close, split_depth0};
 
 /// One `fn` item with its token span.
 #[derive(Debug, Clone)]
@@ -126,6 +126,9 @@ pub struct ParsedFile {
     /// `type X = u32;` primitive aliases (name, primitive), so
     /// literal type-alias widths participate in range checks.
     pub prim_aliases: Vec<(String, String)>,
+    /// Per token: inside test-only code (see [`test_mask`]). Every
+    /// rule skips these tokens.
+    pub in_test: Vec<bool>,
 }
 
 /// Marks every param whose type names a workspace fixed-array alias
@@ -156,15 +159,62 @@ pub const NON_CALL_KEYWORDS: &[&str] = &[
 
 /// Parses the item skeleton out of a lexed file.
 pub fn parse_file(file: &LexedFile) -> ParsedFile {
-    let mask = test_mask(&file.tokens);
-    let mut parser = Parser { toks: &file.tokens, test: &mask, out: ParsedFile::default() };
+    let out = ParsedFile { in_test: test_mask(&file.tokens), ..ParsedFile::default() };
+    let mut parser = Parser { toks: &file.tokens, out };
     parser.items(0, file.tokens.len(), &mut Vec::new(), None);
     parser.out
 }
 
+/// Marks every token inside test-only code: items annotated
+/// `#[test]`, `#[cfg(test)]` (including `cfg(any(test, …))`), or any
+/// other attribute mentioning `test`. The body is the brace block of
+/// the annotated item; `#[cfg(test)] mod x;` (no inline body) marks
+/// nothing — out-of-line test modules should live under `tests/`.
+pub fn test_mask(tokens: &[Token]) -> Vec<bool> {
+    let mut mask = vec![false; tokens.len()];
+    let is_attr = |j: usize| {
+        tokens.get(j).is_some_and(|t| t.text == "#")
+            && tokens.get(j + 1).is_some_and(|t| t.text == "[")
+    };
+    let mut i = 0usize;
+    while i < tokens.len() {
+        if !is_attr(i) {
+            i += 1;
+            continue;
+        }
+        // Fold every attribute on the same item into one verdict.
+        let mut is_test = false;
+        let mut j = i;
+        while is_attr(j) {
+            let close = match_close(tokens, j + 1);
+            is_test |= tokens[j + 1..=close]
+                .iter()
+                .any(|t| t.kind == TokenKind::Ident && t.text == "test");
+            j = close + 1;
+        }
+        if !is_test {
+            i = match_close(tokens, i + 1) + 1;
+            continue;
+        }
+        // The item body: the first `{` at depth 0, unless a bare `;`
+        // ends a body-less item first.
+        let stop =
+            depth0(tokens, j, tokens.len()).find(|&k| matches!(tokens[k].text.as_str(), "{" | ";"));
+        let Some(open) = stop.filter(|&k| tokens[k].text == "{") else {
+            i = stop.unwrap_or(tokens.len()) + 1;
+            continue;
+        };
+        let end = match_close(tokens, open);
+        for slot in mask.iter_mut().take(end + 1).skip(i) {
+            *slot = true;
+        }
+        i = end + 1;
+    }
+    mask
+}
+
 struct Parser<'a> {
     toks: &'a [Token],
-    test: &'a [bool],
     out: ParsedFile,
 }
 
@@ -200,12 +250,12 @@ impl<'a> Parser<'a> {
                 "#" if self.text(i + 1) == "[" => {
                     // Attribute: skip by bracket matching; visibility
                     // (if any) follows the attributes, so keep state.
-                    i = self.match_close(i + 1, "[", "]") + 1;
+                    i = match_close(self.toks, i + 1) + 1;
                 }
                 "pub" => {
                     if self.text(i + 1) == "(" {
                         // pub(crate)/pub(super)/pub(in …): crate-local.
-                        i = self.match_close(i + 1, "(", ")") + 1;
+                        i = match_close(self.toks, i + 1) + 1;
                     } else {
                         pending_pub = true;
                         i += 1;
@@ -284,35 +334,33 @@ impl<'a> Parser<'a> {
         let line = self.toks[at].line;
         i += 1;
         if self.text(i) == "<" {
-            i = self.match_angles(i) + 1;
+            i = match_angles(self.toks, i) + 1;
         }
         if self.text(i) != "(" {
             return i;
         }
-        let params_close = self.match_close(i, "(", ")");
+        let params_close = match_close(self.toks, i);
         let (params, fixed_arrays, alias_typed) = self.param_names(i, params_close);
         // Find the body `{` (or `;` for a declaration) at depth 0 of
         // the return type / where clause, capturing the return type's
         // last path segment along the way.
-        let mut j = params_close + 1;
-        let mut depth = 0i32;
+        let mut end = self.toks.len();
         let mut body = None;
         let mut in_ret = false;
         let mut ret_type = None;
-        while j < self.toks.len() {
+        for j in depth0(self.toks, params_close + 1, self.toks.len()) {
             match self.text(j) {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth == 0 => {
-                    let close = self.match_close(j, "{", "}");
-                    body = Some((j, close));
+                "{" => {
+                    body = Some((j, match_close(self.toks, j)));
                     break;
                 }
-                ";" if depth == 0 => break,
-                ">" if depth == 0 && self.text(j.wrapping_sub(1)) == "-" => in_ret = true,
-                "where" if depth == 0 => in_ret = false,
+                ";" => {
+                    end = j;
+                    break;
+                }
+                ">" if self.text(j.wrapping_sub(1)) == "-" => in_ret = true,
+                "where" => in_ret = false,
                 t if in_ret
-                    && depth == 0
                     && self.is_ident(j)
                     && !matches!(t, "dyn" | "impl" | "mut" | "const") =>
                 {
@@ -320,9 +368,8 @@ impl<'a> Parser<'a> {
                 }
                 _ => {}
             }
-            j += 1;
         }
-        let is_test = self.test.get(at).copied().unwrap_or(false);
+        let is_test = self.out.in_test.get(at).copied().unwrap_or(false);
         self.out.fns.push(FnItem {
             name,
             self_type: ctx.map(|c| c.self_type.to_string()),
@@ -345,7 +392,7 @@ impl<'a> Parser<'a> {
             self.items(open + 1, close, &mut inner_mods, ctx);
             close + 1
         } else {
-            j + 1
+            end + 1
         }
     }
 
@@ -428,38 +475,28 @@ impl<'a> Parser<'a> {
     fn const_item(&mut self, at: usize) -> usize {
         let name = self.text(at + 1).to_string();
         let line = self.toks[at].line;
+        let len = self.toks.len();
         let mut ty = None;
-        let mut depth = 0i32;
-        let mut i = at + 3;
         let mut eq = None;
-        while i < self.toks.len() {
+        let mut stop = len;
+        for i in depth0(self.toks, at + 3, len) {
             match self.text(i) {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "=" if depth == 0 => {
+                "=" => {
                     eq = Some(i);
                     break;
                 }
-                ";" if depth == 0 => break, // `const X: Ty;` (trait decl)
-                t if depth == 0 && self.is_ident(i) => ty = Some(t.to_string()),
+                ";" => {
+                    stop = i; // `const X: Ty;` (trait decl)
+                    break;
+                }
+                t if self.is_ident(i) => ty = Some(t.to_string()),
                 _ => {}
             }
-            i += 1;
         }
-        let Some(eq) = eq else { return i + 1 };
-        let mut j = eq + 1;
-        let mut depth = 0i32;
-        while j < self.toks.len() {
-            match self.text(j) {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                ";" if depth == 0 => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        self.out.consts.push(ConstItem { name, ty, init: (eq + 1, j), line });
-        j + 1
+        let Some(eq) = eq else { return stop + 1 };
+        let end = find_depth0(self.toks, eq + 1, len, ";").unwrap_or(len);
+        self.out.consts.push(ConstItem { name, ty, init: (eq + 1, end), line });
+        end + 1
     }
 
     /// Parses `struct Name { … }` / `struct Name(…);` / `struct Name;`
@@ -472,7 +509,7 @@ impl<'a> Parser<'a> {
         let name = self.text(at + 1).to_string();
         let mut i = at + 2;
         if self.text(i) == "<" {
-            i = self.match_angles(i) + 1;
+            i = match_angles(self.toks, i) + 1;
         }
         // Skip a where clause before the body, if any.
         while i < self.toks.len() && !matches!(self.text(i), "{" | "(" | ";") {
@@ -480,12 +517,12 @@ impl<'a> Parser<'a> {
         }
         match self.text(i) {
             "{" => {
-                let close = self.match_close(i, "{", "}");
+                let close = match_close(self.toks, i);
                 self.record_fields(&name, i + 1, close, false);
                 close + 1
             }
             "(" => {
-                let close = self.match_close(i, "(", ")");
+                let close = match_close(self.toks, i);
                 self.record_fields(&name, i + 1, close, true);
                 // Tuple struct: consume through the trailing `;`.
                 let mut j = close + 1;
@@ -528,7 +565,7 @@ impl<'a> Parser<'a> {
         while i < hi {
             match self.text(i) {
                 "#" if self.text(i + 1) == "[" => {
-                    i = self.match_close(i + 1, "[", "]") + 1;
+                    i = match_close(self.toks, i + 1) + 1;
                     continue;
                 }
                 "(" | "[" | "{" => depth += 1,
@@ -570,7 +607,7 @@ impl<'a> Parser<'a> {
     fn impl_item(&mut self, at: usize, mods: &mut Vec<String>) -> usize {
         let mut i = at + 1;
         if self.text(i) == "<" {
-            i = self.match_angles(i) + 1;
+            i = match_angles(self.toks, i) + 1;
         }
         // Collect the path(s) up to the body: `Trait for Type` or
         // `Type`. Only the last identifier of each path matters.
@@ -592,7 +629,7 @@ impl<'a> Parser<'a> {
                     }
                     break;
                 }
-                "<" => i = self.match_angles(i) + 1,
+                "<" => i = match_angles(self.toks, i) + 1,
                 _ => {
                     if self.is_ident(i) {
                         let slot =
@@ -606,7 +643,7 @@ impl<'a> Parser<'a> {
         if self.text(i) != "{" {
             return i;
         }
-        let close = self.match_close(i, "{", "}");
+        let close = match_close(self.toks, i);
         let (self_type, trait_name) =
             if saw_for { (second_path_last, first_path_last) } else { (first_path_last, None) };
         if let Some(self_type) = self_type {
@@ -627,7 +664,7 @@ impl<'a> Parser<'a> {
         i += 1;
         while i < self.toks.len() && !matches!(self.text(i), "{" | ";") {
             if self.text(i) == "<" {
-                i = self.match_angles(i) + 1;
+                i = match_angles(self.toks, i) + 1;
             } else {
                 i += 1;
             }
@@ -635,7 +672,7 @@ impl<'a> Parser<'a> {
         if self.text(i) != "{" {
             return i + 1;
         }
-        let close = self.match_close(i, "{", "}");
+        let close = match_close(self.toks, i);
         let ctx = ImplCtx { self_type: &name, trait_name: Some(&name) };
         self.items(i + 1, close, mods, Some(ctx));
         close + 1
@@ -646,37 +683,26 @@ impl<'a> Parser<'a> {
     /// can only be a fixed-size array `[T; N]`. Returns one past the
     /// terminating `;`.
     fn type_alias(&mut self, at: usize) -> usize {
-        let name = if self.is_ident(at + 1) { Some(self.text(at + 1).to_string()) } else { None };
-        let mut depth = 0i32;
-        let mut is_array = false;
-        let mut rhs_idents = 0usize;
-        let mut rhs_last = None;
-        let mut saw_eq = false;
-        let mut i = at + 1;
-        while i < self.toks.len() {
-            match self.text(i) {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                ";" if depth == 0 => break,
-                ";" => is_array = true,
-                "=" if depth == 0 => saw_eq = true,
-                t if saw_eq && self.is_ident(i) => {
-                    rhs_idents += 1;
-                    rhs_last = Some(t.to_string());
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        if let Some(name) = name {
-            if is_array {
+        let toks = self.toks;
+        let end = find_depth0(toks, at + 1, toks.len(), ";").unwrap_or(toks.len());
+        if self.is_ident(at + 1) {
+            let name = toks[at + 1].text.clone();
+            let rhs: Vec<&str> = match find_depth0(toks, at + 1, end, "=") {
+                Some(eq) => toks[eq + 1..end]
+                    .iter()
+                    .filter(|t| t.kind == TokenKind::Ident)
+                    .map(|t| t.text.as_str())
+                    .collect(),
+                None => Vec::new(),
+            };
+            if toks[at + 1..end].iter().any(|t| t.text == ";") {
                 self.out.fixed_array_aliases.push(name);
-            } else if let (1, Some(prim)) = (rhs_idents, rhs_last) {
+            } else if let [prim] = rhs[..] {
                 // `type SampleCount = u64;` — a literal width alias.
-                self.out.prim_aliases.push((name, prim));
+                self.out.prim_aliases.push((name, prim.to_string()));
             }
         }
-        i + 1
+        end + 1
     }
 
     /// Parses `mod name { … }` (recursing) or `mod name;` (skipped —
@@ -688,7 +714,7 @@ impl<'a> Parser<'a> {
         let name = self.text(at + 1).to_string();
         match self.text(at + 2) {
             "{" => {
-                let close = self.match_close(at + 2, "{", "}");
+                let close = match_close(self.toks, at + 2);
                 mods.push(name);
                 self.items(at + 3, close, mods, None);
                 mods.pop();
@@ -730,25 +756,9 @@ impl<'a> Parser<'a> {
                 "{" => {
                     // Split the group body on top-level commas and
                     // expand each arm with the current prefix.
-                    let close = self.match_close(i, "{", "}");
-                    let mut arm_start = i + 1;
-                    let mut depth = 0i32;
-                    let mut j = i + 1;
-                    while j <= close.min(end) {
-                        match self.text(j) {
-                            "{" => depth += 1,
-                            "}" if depth > 0 => depth -= 1,
-                            "," if depth == 0 => {
-                                self.expand_use(arm_start, j, prefix, out);
-                                arm_start = j + 1;
-                            }
-                            "}" => {
-                                self.expand_use(arm_start, j, prefix, out);
-                                arm_start = j + 1;
-                            }
-                            _ => {}
-                        }
-                        j += 1;
+                    let close = match_close(self.toks, i);
+                    for (lo, hi) in split_depth0(self.toks, i + 1, close, ",") {
+                        self.expand_use(lo, hi, prefix, out);
                     }
                     prefix.truncate(base_len);
                     return;
@@ -785,65 +795,13 @@ impl<'a> Parser<'a> {
 
     /// Skips to the end of a non-fn item: the `;` or the matching
     /// close of the first `{` at depth 0. Returns one past it.
-    fn skip_to_item_end(&self, mut i: usize) -> usize {
-        let mut depth = 0i32;
-        while i < self.toks.len() {
-            match self.text(i) {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth == 0 => return self.match_close(i, "{", "}") + 1,
-                ";" if depth == 0 => return i + 1,
-                _ => {}
-            }
-            i += 1;
+    fn skip_to_item_end(&self, i: usize) -> usize {
+        let len = self.toks.len();
+        match depth0(self.toks, i, len).find(|&k| matches!(self.text(k), "{" | ";")) {
+            Some(k) if self.text(k) == "{" => match_close(self.toks, k) + 1,
+            Some(k) => k + 1,
+            None => len,
         }
-        i
-    }
-
-    /// Index of the close matching the open bracket at `open`; the
-    /// last token on unbalanced input (tolerated, like the lexer).
-    fn match_close(&self, open: usize, open_text: &str, close_text: &str) -> usize {
-        let mut depth = 0i32;
-        let mut i = open;
-        while i < self.toks.len() {
-            let t = self.text(i);
-            if t == open_text {
-                depth += 1;
-            } else if t == close_text {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-            i += 1;
-        }
-        self.toks.len().saturating_sub(1)
-    }
-
-    /// Matches generic angle brackets starting at a `<`; `->` arrows
-    /// inside bounds (`F: Fn() -> T`) do not close a level. Returns
-    /// the index of the closing `>`.
-    fn match_angles(&self, open: usize) -> usize {
-        let mut depth = 0i32;
-        let mut i = open;
-        while i < self.toks.len() {
-            match self.text(i) {
-                "<" => depth += 1,
-                ">" if self.text(i.wrapping_sub(1)) == "-" => {} // `->`
-                ">" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return i;
-                    }
-                }
-                // `(…)` inside bounds may contain `<`-free commas etc.
-                "(" => i = self.match_close(i, "(", ")"),
-                ";" | "{" => return i.saturating_sub(1), // malformed: bail
-                _ => {}
-            }
-            i += 1;
-        }
-        self.toks.len().saturating_sub(1)
     }
 }
 

@@ -539,6 +539,22 @@ fn d4_flags_reductions_into_captured_state() {
 }
 
 #[test]
+fn d4_follows_tuple_fields_to_the_captured_binding() {
+    let src = "pub fn totals(pool: &Pool) -> (f32, f32) {\n\
+               let mut sums = (0.0, 0.0);\n\
+               pool.parallel_chunks(4, 64, |_lo, _hi| {\n\
+               let mut local = (0.0, 0.0);\n\
+               local.0 += 1.0;\n\
+               sums.0 += 1.0;\n\
+               });\n\
+               sums\n\
+               }\n";
+    let findings = lint_source("crates/core/src/noc.rs", src);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!((findings[0].rule, findings[0].line), ("D4", 6));
+}
+
+#[test]
 fn d4_ignores_closure_local_accumulators_and_serial_iterators() {
     let local = "pub fn totals(pool: &Pool) {\n\
                  pool.parallel_chunks(4, 64, |lo, hi| {\n\

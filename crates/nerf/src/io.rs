@@ -150,19 +150,23 @@ fn fusion3d_arith_f16_bits(value: f32) -> u16 {
         }
         let sig = frac | 0x80_0000;
         // f16 subnormal LSB weighs 2^-24; the significand carries
-        // 2^(unbiased - 23) per unit, so shift right by -unbiased - 1.
-        let shift = (-(exp - 127) - 1) as u32;
+        // 2^(unbiased - 23) per unit, so shift right by -unbiased - 1,
+        // which is 14 - h_exp ∈ [14, 24].
+        debug_assert!((-10..=0).contains(&h_exp));
+        let shift = (14 - h_exp) as u32;
         let sub = sig >> shift;
         let remainder = sig & ((1 << shift) - 1);
         let half = 1u32 << (shift - 1);
-        let round_up = remainder > half || (remainder == half && sub & 1 == 1);
-        return sign | (sub + round_up as u32) as u16;
+        let round_up: u32 =
+            if remainder > half || (remainder == half && sub & 1 == 1) { 1 } else { 0 };
+        return sign | (sub + round_up) as u16;
     }
+    debug_assert!((1..0x1F).contains(&h_exp));
     let sub = frac >> 13;
     let remainder = frac & 0x1FFF;
-    let round_up = remainder > 0x1000 || (remainder == 0x1000 && sub & 1 == 1);
-    let mut h = (h_exp as u32) << 10 | sub;
-    h += round_up as u32;
+    let round_up: u32 =
+        if remainder > 0x1000 || (remainder == 0x1000 && sub & 1 == 1) { 1 } else { 0 };
+    let h = ((h_exp as u32) << 10 | sub) + round_up;
     if h >= 0x7C00 {
         return sign | 0x7C00;
     }
@@ -179,12 +183,16 @@ fn f16_bits_to_f32(bits: u16) -> f32 {
         if frac == 0 {
             sign
         } else {
+            // Normalise: shift the leading one up to bit 10, at most
+            // ten times for a nonzero 10-bit fraction.
             let mut e = -14i32;
             let mut f = frac;
             while f & 0x400 == 0 {
+                debug_assert!(f < 0x400);
                 f <<= 1;
                 e -= 1;
             }
+            debug_assert!((-24..=-15).contains(&e));
             sign | (((e + 127) as u32) << 23) | ((f & 0x3FF) << 13)
         }
     } else {
@@ -251,15 +259,16 @@ pub fn encode_model<E: Encoding>(
     occupancy: &OccupancyGrid,
     precision: Precision,
 ) -> Vec<u8> {
-    let mut w = Writer(Vec::with_capacity(64 + model.param_count() * precision.bytes_per_param()));
+    let mut w = Writer(Vec::with_capacity(container_size(model, occupancy, precision)));
     w.0.extend_from_slice(&MAGIC);
     w.u16(VERSION);
     w.0.push(precision.tag());
     w.0.push(0); // reserved
-    w.u32(model.geo_feature_dim() as u32);
-    w.u64(model.grid().param_count() as u64);
-    w.u64(model.density_mlp().param_count() as u64);
-    w.u64(model.color_mlp().param_count() as u64);
+    w.u32(u32::try_from(model.geo_feature_dim()).unwrap_or(u32::MAX));
+    let (encoding, density, color) = param_counts(model);
+    w.u64(encoding);
+    w.u64(density);
+    w.u64(color);
     // Occupancy grid: resolution, threshold, packed bitmap.
     w.u32(occupancy.resolution());
     w.f32(occupancy.threshold());
@@ -291,11 +300,7 @@ pub fn decode_model_into<E: Encoding>(
     model: &mut NerfModel<E>,
 ) -> Result<OccupancyGrid, DecodeError> {
     let header = peek_header(data)?;
-    let expected = (
-        model.grid().param_count() as u64,
-        model.density_mlp().param_count() as u64,
-        model.color_mlp().param_count() as u64,
-    );
+    let expected = param_counts(model);
     if header.param_counts != expected {
         return Err(DecodeError::ShapeMismatch { expected, found: header.param_counts });
     }
@@ -323,6 +328,16 @@ pub fn decode_model_into<E: Encoding>(
     Ok(occupancy)
 }
 
+/// The (encoding, density, color) parameter counts a container
+/// records for `model`. The `usize` bindings make each cast a
+/// widening one.
+fn param_counts<E: Encoding>(model: &NerfModel<E>) -> (u64, u64, u64) {
+    let encoding: usize = model.grid().param_count();
+    let density: usize = model.density_mlp().param_count();
+    let color: usize = model.color_mlp().param_count();
+    (encoding as u64, density as u64, color as u64)
+}
+
 /// Bytes of the packed occupancy bitmap for a grid of `resolution`
 /// cells per axis (`ceil(resolution³ / 8)`), or `None` when the cube
 /// overflows `u64`.
@@ -344,8 +359,10 @@ pub fn container_size<E: Encoding>(
     precision: Precision,
 ) -> usize {
     // Header: 4 magic + 2 version + 2 flags + 4 geo + 24 counts +
-    // 4 resolution + 4 threshold.
-    44 + occupancy.cell_count().div_ceil(8) + model.param_count() * precision.bytes_per_param()
+    // 4 resolution + 4 threshold. Saturates rather than wraps: no
+    // container that large could be allocated anyway.
+    let params = model.param_count().saturating_mul(precision.bytes_per_param());
+    44usize.saturating_add(occupancy.cell_count().div_ceil(8)).saturating_add(params)
 }
 
 /// The self-describing prefix of a model container, decoded without

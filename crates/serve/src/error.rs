@@ -28,6 +28,12 @@ pub enum ServeError {
         /// The underlying container error.
         source: DecodeError,
     },
+    /// A [`ServeConfig`](crate::ServeConfig) count that must be at
+    /// least one is zero.
+    ZeroConfig {
+        /// The offending field's name.
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -41,6 +47,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Decode { scene, source } => {
                 write!(f, "scene {scene} container failed to decode: {source}")
             }
+            ServeError::ZeroConfig { field } => write!(f, "ServeConfig::{field} must be at least 1"),
         }
     }
 }

@@ -168,13 +168,25 @@ impl ServeSim {
     ///
     /// # Errors
     ///
-    /// Propagates [`SceneRegistry::new`] failures: oversized or
+    /// [`ServeError::ZeroConfig`] when `executors`, `max_batch`,
+    /// `queue_capacity`, `resolution` or `path_len` is zero; otherwise
+    /// propagates [`SceneRegistry::new`] failures: oversized or
     /// malformed containers.
     pub fn new(store: SceneStore, config: &ServeConfig) -> Result<Self, ServeError> {
+        let zero = [
+            ("executors", config.executors == 0),
+            ("max_batch", config.max_batch == 0),
+            ("queue_capacity", config.queue_capacity == 0),
+            ("resolution", config.resolution == 0),
+            ("path_len", config.path_len == 0),
+        ];
+        if let Some(&(field, _)) = zero.iter().find(|(_, is_zero)| *is_zero) {
+            return Err(ServeError::ZeroConfig { field });
+        }
         let registry = SceneRegistry::new(&store, config.budget_bytes)?;
-        let queue = AdmissionQueue::new(store.len(), config.queue_capacity.max(1));
-        let resolution = config.resolution.max(1);
-        let path: Vec<Camera> = orbit_poses(Vec3::new(0.5, 0.4, 0.5), 1.25, config.path_len.max(1))
+        let queue = AdmissionQueue::new(store.len(), config.queue_capacity);
+        let resolution = config.resolution;
+        let path: Vec<Camera> = orbit_poses(Vec3::new(0.5, 0.4, 0.5), 1.25, config.path_len)
             .iter()
             .map(|&pose| Camera::new(pose, resolution, resolution, config.fov_y))
             .collect();
@@ -184,7 +196,7 @@ impl ServeSim {
                 ..PipelineConfig::default()
             })
             .collect();
-        let max_batch = config.max_batch.max(1);
+        let max_batch = config.max_batch;
         let pixels = resolution as usize * resolution as usize;
         Ok(Self {
             store,
@@ -197,7 +209,7 @@ impl ServeSim {
             samples: vec![0; max_batch],
             batch: Vec::with_capacity(max_batch),
             batch_cameras: Vec::with_capacity(max_batch),
-            executors: vec![0; config.executors.max(1)],
+            executors: vec![0; config.executors],
         })
     }
 
@@ -274,9 +286,8 @@ impl ServeSim {
             let (hit, loaded) = self.registry.ensure_resident(&self.store, scene)?;
             let load_cycles =
                 if hit { 0 } else { loaded.div_ceil(self.config.load_bytes_per_cycle.max(1)) };
-            let max_batch = self.config.max_batch.max(1);
             let mut batch = std::mem::take(&mut self.batch);
-            self.queue.pop_batch_into(scene, max_batch, &mut batch);
+            self.queue.pop_batch_into(scene, self.config.max_batch, &mut batch);
             self.batch = batch;
             debug_assert!(!self.batch.is_empty(), "oldest_scene() implies a waiting ticket");
 
@@ -459,6 +470,38 @@ mod tests {
 
     fn small_config() -> ServeConfig {
         ServeConfig { resolution: 12, path_len: 6, ..ServeConfig::default() }
+    }
+
+    /// Zeroing one count field makes construction fail, naming it.
+    fn rejects_zero(field: &'static str, zero: fn(&mut ServeConfig)) {
+        let mut config = small_config();
+        zero(&mut config);
+        assert_eq!(ServeSim::synthetic(1, &config).err(), Some(ServeError::ZeroConfig { field }));
+    }
+
+    #[test]
+    fn zero_executors_is_an_error() {
+        rejects_zero("executors", |c| c.executors = 0);
+    }
+
+    #[test]
+    fn zero_max_batch_is_an_error() {
+        rejects_zero("max_batch", |c| c.max_batch = 0);
+    }
+
+    #[test]
+    fn zero_queue_capacity_is_an_error() {
+        rejects_zero("queue_capacity", |c| c.queue_capacity = 0);
+    }
+
+    #[test]
+    fn zero_resolution_is_an_error() {
+        rejects_zero("resolution", |c| c.resolution = 0);
+    }
+
+    #[test]
+    fn zero_path_len_is_an_error() {
+        rejects_zero("path_len", |c| c.path_len = 0);
     }
 
     #[test]
