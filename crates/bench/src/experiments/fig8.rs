@@ -13,14 +13,12 @@
 
 use fusion3d_multichip::moe::{MoeNerf, MoeTrainer};
 use fusion3d_nerf::adam::AdamConfig;
-use fusion3d_nerf::batch::{KernelScratch, SampleBatch};
 use fusion3d_nerf::camera::Camera;
 use fusion3d_nerf::dataset::Dataset;
 use fusion3d_nerf::encoding::HashGridConfig;
 use fusion3d_nerf::math::Vec3;
 use fusion3d_nerf::model::ModelConfig;
-use fusion3d_nerf::render::{composite, ShadedSample};
-use fusion3d_nerf::sampler::{sample_ray_into, SamplerConfig};
+use fusion3d_nerf::sampler::SamplerConfig;
 use fusion3d_nerf::scenes::{LargeScene, ProceduralScene};
 use fusion3d_nerf::trainer::TrainerConfig;
 use rand::rngs::SmallRng;
@@ -32,28 +30,16 @@ pub fn dominance_map(
     camera: &Camera,
     sampler: &SamplerConfig,
 ) -> Vec<Option<usize>> {
-    let mut samples = SampleBatch::new();
-    let mut kernel = KernelScratch::new();
-    camera
-        .rays()
-        .map(|(_, _, ray)| {
+    let frames = moe.expert_frames(camera, sampler);
+    (0..camera.width() as usize * camera.height() as usize)
+        .map(|i| {
             // Dominance by per-expert opacity (1 - transmittance):
             // the expert whose own field absorbs the ray the most owns
             // the pixel, regardless of its color brightness.
             let mut best: Option<(usize, f32)> = None;
             let mut total_opacity = 0.0f32;
-            for (e, expert) in moe.experts().iter().enumerate() {
-                sample_ray_into(&ray, &expert.occupancy, sampler, &mut samples);
-                expert.model.forward_batch_infer(samples.positions(), ray.direction, &mut kernel);
-                let shaded: Vec<ShadedSample> = kernel
-                    .sigma()
-                    .iter()
-                    .zip(kernel.color())
-                    .zip(samples.dts())
-                    .map(|((&sigma, &color), &dt)| ShadedSample { sigma, color, dt })
-                    .collect();
-                let out = composite(&shaded, Vec3::ZERO, false);
-                let opacity = 1.0 - out.final_transmittance;
+            for (e, frame) in frames.iter().enumerate() {
+                let opacity = 1.0 - frame[i].1;
                 total_opacity += opacity;
                 if best.is_none_or(|(_, b)| opacity > b) {
                     best = Some((e, opacity));

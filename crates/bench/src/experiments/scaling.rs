@@ -2,16 +2,13 @@
 //! varying numbers of chips" (Sec. V-A, Fig. 8 top row), and the
 //! convergent PSNR improves with the number of experts (Fig. 13(a)).
 
-use crate::support::{
-    large_scene_occupancy, partition_occupancy, print_table, trace_camera, trace_sampler, TRACE_RES,
-};
-use fusion3d_multichip::moe::{MoeNerf, MoeTrainer};
+use crate::support::{large_scene_occupancy, print_table, trace_camera, trace_sampler, TRACE_RES};
+use fusion3d_multichip::moe::{partition_occupancy, trace_gates, MoeNerf, MoeTrainer};
 use fusion3d_multichip::system::{MultiChipConfig, MultiChipSystem};
 use fusion3d_nerf::adam::AdamConfig;
 use fusion3d_nerf::dataset::Dataset;
 use fusion3d_nerf::encoding::HashGridConfig;
 use fusion3d_nerf::model::ModelConfig;
-use fusion3d_nerf::sampler::sample_ray;
 use fusion3d_nerf::scenes::{LargeScene, ProceduralScene};
 use fusion3d_nerf::trainer::TrainerConfig;
 use rand::rngs::SmallRng;
@@ -43,11 +40,7 @@ pub fn sweep_chips(scene: LargeScene, counts: &[usize]) -> Vec<ScalePoint> {
         .map(|&n| {
             let config = MultiChipConfig { chips: n, ..MultiChipConfig::fusion3d() };
             let system = MultiChipSystem::new(config.clone());
-            let gates = partition_occupancy(&full, n);
-            let per_chip: Vec<Vec<fusion3d_nerf::sampler::RayWorkload>> = gates
-                .iter()
-                .map(|g| camera.rays().map(|(_, _, ray)| sample_ray(&ray, g, &sampler).1).collect())
-                .collect();
+            let per_chip = trace_gates(&partition_occupancy(&full, n), &camera, &sampler);
             let report = system.simulate(&per_chip, false);
             ScalePoint {
                 chips: n,

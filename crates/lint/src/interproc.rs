@@ -52,7 +52,7 @@ use std::collections::BTreeSet;
 use crate::graph::{direct_spans, fn_item, CallGraph};
 use crate::lexer::{Token, TokenKind};
 use crate::scope::{is_h2_entry, Scope, PAR_COMBINATORS};
-use crate::tokens::{depth0, depth0_by, find_depth0, match_close, place_start};
+use crate::tokens::{angle_delta, depth0, depth0_by, find_depth0, match_close, place_start};
 use crate::{Reporter, SourceFile};
 
 /// Interior-mutability / shared-state type names (D5).
@@ -511,16 +511,6 @@ fn collect_declared(toks: &[Token], lo: usize, hi: usize, declared: &mut BTreeSe
             _ => {}
         }
         i += 1;
-    }
-}
-
-/// `(`/`[`/`<` nesting, for `let` patterns with generic type
-/// ascriptions.
-fn angle_delta(t: &str) -> i32 {
-    match t {
-        "(" | "[" | "<" => 1,
-        ")" | "]" | ">" => -1,
-        _ => 0,
     }
 }
 

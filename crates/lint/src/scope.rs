@@ -73,6 +73,7 @@ pub const H2_ENTRIES: &[(&str, &str)] = &[
     ("nerf", "render_pixel"),
     ("nerf", "render_pixel_depth"),
     ("nerf", "render_depth_image"),
+    ("nerf", "render_radiance"),
     ("nerf", "render_views_into"),
     ("nerf", "trace_frame"),
     ("nerf", "shade_rays"),

@@ -19,8 +19,8 @@ fn partner(t: &str) -> Option<&'static str> {
 }
 
 /// Depth change of one token under `(`/`[`/`{` nesting.
-fn bracket_delta(t: &str) -> i32 {
-    match t {
+fn bracket_delta(toks: &[Token], i: usize) -> i32 {
+    match toks[i].text.as_str() {
         "(" | "[" | "{" => 1,
         ")" | "]" | "}" => -1,
         _ => 0,
@@ -65,6 +65,24 @@ pub(crate) fn match_open(toks: &[Token], close: usize) -> Option<usize> {
     None
 }
 
+/// Whether the `>` at `i` is the head of a `->` arrow, which closes no
+/// generic argument list.
+fn is_arrow_head(toks: &[Token], i: usize) -> bool {
+    i > 0 && toks[i - 1].text == "-"
+}
+
+/// `(`/`[`/`<` nesting, for `let` patterns with generic type
+/// ascriptions; the `>` of a `->` arrow (`fn(f32) -> f32`) closes
+/// nothing, as in [`match_angles`].
+pub(crate) fn angle_delta(toks: &[Token], i: usize) -> i32 {
+    match toks[i].text.as_str() {
+        "(" | "[" | "<" => 1,
+        ">" if is_arrow_head(toks, i) => 0,
+        ")" | "]" | ">" => -1,
+        _ => 0,
+    }
+}
+
 /// Index of the `>` closing the generic argument list whose `<` is at
 /// `open`. `->` arrows inside bounds (`F: Fn() -> T`) do not close a
 /// level and parenthesised groups are skipped whole; a `;` or `{`
@@ -75,7 +93,7 @@ pub(crate) fn match_angles(toks: &[Token], open: usize) -> usize {
     while i < toks.len() {
         match toks[i].text.as_str() {
             "<" => depth += 1,
-            ">" if i > 0 && toks[i - 1].text == "-" => {}
+            ">" if is_arrow_head(toks, i) => {}
             ">" => {
                 depth -= 1;
                 if depth == 0 {
@@ -125,12 +143,12 @@ pub(crate) fn depth0_by(
     toks: &[Token],
     lo: usize,
     hi: usize,
-    delta: fn(&str) -> i32,
+    delta: fn(&[Token], usize) -> i32,
 ) -> impl Iterator<Item = usize> + '_ {
     let mut depth = 0i32;
     (lo..hi.min(toks.len())).filter(move |&i| {
         let at_top = depth == 0;
-        depth += delta(&toks[i].text);
+        depth += delta(toks, i);
         at_top
     })
 }

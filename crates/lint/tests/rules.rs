@@ -555,6 +555,21 @@ fn d4_follows_tuple_fields_to_the_captured_binding() {
 }
 
 #[test]
+fn d4_sees_lets_after_a_fn_pointer_ascription() {
+    // The `>` of `->` in a `let` type must not close a nesting level,
+    // or every later `let` in the closure goes unrecorded.
+    let src = "pub fn totals(pool: &Pool, g: fn(f32) -> f32) {\n\
+               pool.parallel_chunks(4, 64, |c| {\n\
+               let f: fn(f32) -> f32 = g;\n\
+               let mut local = 0.0;\n\
+               local += f(c[0]);\n\
+               local\n\
+               });\n\
+               }\n";
+    assert!(rules_at("crates/core/src/noc.rs", src).is_empty());
+}
+
+#[test]
 fn d4_ignores_closure_local_accumulators_and_serial_iterators() {
     let local = "pub fn totals(pool: &Pool) {\n\
                  pool.parallel_chunks(4, 64, |lo, hi| {\n\

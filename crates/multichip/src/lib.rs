@@ -5,7 +5,8 @@
 //!
 //! * [`moe`] — the Mixture-of-Experts NeRF (Technique T3 / Level-1
 //!   tiling): complete small models per chip, occupancy-grid gating,
-//!   pixel-sum fusion, and end-to-end MoE training;
+//!   pixel-sum fusion, and end-to-end MoE training, plus the scene-gate
+//!   partitioner and per-chip workload traces;
 //! * [`comm`] — chip-to-chip communication models: MoE tiling versus
 //!   the conventional layer-split mapping (the Fig. 12(a) 94 % saving);
 //! * [`system`] — the assembled four-chip + I/O-module system with the
@@ -36,5 +37,5 @@ pub mod system;
 
 pub use balance::{rebalance_gates, BalanceError, LoadReport};
 pub use comm::{layer_split_bytes, moe_bytes, moe_communication_saving, FrameWorkload};
-pub use moe::{Expert, MoeNerf, MoeTrainer};
+pub use moe::{partition_occupancy, trace_gates, Expert, MoeNerf, MoeTrainer};
 pub use system::{LinkModel, MultiChipConfig, MultiChipSystem, SystemReport};

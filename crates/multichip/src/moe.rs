@@ -22,60 +22,17 @@
 //! visualized in the paper's Fig. 8.
 
 use fusion3d_nerf::adam::AdamConfig;
-use fusion3d_nerf::batch::{KernelScratch, SampleBatch};
+use fusion3d_nerf::camera::Camera;
 use fusion3d_nerf::dataset::Dataset;
 use fusion3d_nerf::encoding::{Encoding, HashGrid};
 use fusion3d_nerf::image::Image;
-use fusion3d_nerf::math::{Ray, Vec3};
+use fusion3d_nerf::math::Vec3;
 use fusion3d_nerf::model::{ModelConfig, ModelGrads, ModelOptimizer, NerfModel};
 use fusion3d_nerf::occupancy::OccupancyGrid;
-use fusion3d_nerf::render::{composite_backward_into, composite_into, SampleGrad, ShadedSample};
-use fusion3d_nerf::sampler::{sample_ray, sample_ray_into, RayWorkload, SamplerConfig};
-use fusion3d_nerf::trainer::TrainerConfig;
+use fusion3d_nerf::pipeline::{render_radiance, trace_frame, PipelineConfig};
+use fusion3d_nerf::sampler::{RayWorkload, SamplerConfig};
+use fusion3d_nerf::trainer::{TrainerConfig, TrainingRay};
 use rand::Rng;
-
-/// One (ray, expert) evaluation's working set: the expert's Stage-I
-/// samples, the batched kernel scratch that retains its forward pass
-/// for the backward one, and the compositing buffers.
-#[derive(Debug, Default)]
-struct ExpertScratch {
-    samples: SampleBatch,
-    kernel: KernelScratch,
-    shaded: Vec<ShadedSample>,
-    weights: Vec<f32>,
-    sample_grads: Vec<SampleGrad>,
-    d_sigma: Vec<f32>,
-    d_color: Vec<Vec3>,
-}
-
-impl ExpertScratch {
-    /// Samples `ray` through `expert`'s gate, shades the samples with
-    /// one batched forward pass and composites them over a black
-    /// background, returning the expert's `(color, transmittance)`.
-    /// With `retain`, the scratch keeps what a backward pass needs.
-    fn shade<E: Encoding>(
-        &mut self,
-        expert: &Expert<E>,
-        ray: &Ray,
-        sampler: &SamplerConfig,
-        retain: bool,
-    ) -> (Vec3, f32) {
-        sample_ray_into(ray, &expert.occupancy, sampler, &mut self.samples);
-        let positions = self.samples.positions();
-        if retain {
-            expert.model.forward_batch(positions, ray.direction, &mut self.kernel);
-        } else {
-            expert.model.forward_batch_infer(positions, ray.direction, &mut self.kernel);
-        }
-        self.shaded.clear();
-        let k = &self.kernel;
-        for ((&sigma, &color), &dt) in k.sigma().iter().zip(k.color()).zip(self.samples.dts()) {
-            // lint: allow(h2): amortized into retained scratch capacity
-            self.shaded.push(ShadedSample { sigma, color, dt });
-        }
-        composite_into(&self.shaded, Vec3::ZERO, false, &mut self.weights)
-    }
-}
 
 /// One expert: a complete small NeRF model plus its gating occupancy
 /// grid, resident on one chip.
@@ -198,39 +155,38 @@ impl<E: Encoding> MoeNerf<E> {
         self.experts.iter().map(|e| e.model.param_count()).sum()
     }
 
-    /// Renders one pixel by fusing per-expert composites.
-    pub fn render_pixel(&self, ray: &Ray, sampler: &SamplerConfig, background: Vec3) -> Vec3 {
-        self.render_pixel_with(ray, sampler, background, &mut ExpertScratch::default())
+    /// Renders every expert's frame on its own, as its chip would:
+    /// the single-chip pipeline over the expert's gate, with a black
+    /// background and early stop off. Returns one raster-order
+    /// `(color, transmittance)` frame per expert, in expert order.
+    pub fn expert_frames(&self, camera: &Camera, sampler: &SamplerConfig) -> Vec<Vec<(Vec3, f32)>> {
+        let config =
+            PipelineConfig { sampler: *sampler, background: Vec3::ZERO, early_stop: false };
+        self.experts
+            .iter()
+            .map(|e| render_radiance(&e.model, &e.occupancy, camera, &config))
+            .collect()
     }
 
-    fn render_pixel_with(
-        &self,
-        ray: &Ray,
-        sampler: &SamplerConfig,
-        background: Vec3,
-        scratch: &mut ExpertScratch,
-    ) -> Vec3 {
-        let mut color = Vec3::ZERO;
-        let mut trans_product = 1.0f32;
-        for expert in &self.experts {
-            let (c, t) = scratch.shade(expert, ray, sampler, false);
-            color += c;
-            trans_product *= t;
-        }
-        color + background * trans_product
-    }
-
-    /// Renders a full frame.
+    /// Renders a full frame: the expert frames fused per pixel in
+    /// expert order, `C = Σ_e C_e + background · Π_e T_e`.
     pub fn render_image(
         &self,
-        camera: &fusion3d_nerf::camera::Camera,
+        camera: &Camera,
         sampler: &SamplerConfig,
         background: Vec3,
     ) -> Image {
+        let frames = self.expert_frames(camera, sampler);
         let mut img = Image::new(camera.width(), camera.height());
-        let mut scratch = ExpertScratch::default();
-        for (x, y, ray) in camera.rays() {
-            img.set(x, y, self.render_pixel_with(&ray, sampler, background, &mut scratch));
+        for (i, pixel) in img.pixels_mut().iter_mut().enumerate() {
+            let mut color = Vec3::ZERO;
+            let mut trans_product = 1.0f32;
+            for frame in &frames {
+                let (c, t) = frame[i];
+                color += c;
+                trans_product *= t;
+            }
+            *pixel = color + background * trans_product;
         }
         img
     }
@@ -239,16 +195,60 @@ impl<E: Encoding> MoeNerf<E> {
     /// for the multi-chip workload-balance analysis.
     pub fn per_chip_workloads(
         &self,
-        camera: &fusion3d_nerf::camera::Camera,
+        camera: &Camera,
         sampler: &SamplerConfig,
     ) -> Vec<Vec<RayWorkload>> {
-        self.experts
-            .iter()
-            .map(|e| {
-                camera.rays().map(|(_, _, ray)| sample_ray(&ray, &e.occupancy, sampler).1).collect()
-            })
-            .collect()
+        trace_gates(self.experts.iter().map(|e| &e.occupancy), camera, sampler)
     }
+}
+
+/// Every chip's Stage-I workload for one frame: the full camera ray
+/// set marched through each gate in turn, one raster-order
+/// [`RayWorkload`] list per gate.
+pub fn trace_gates<'a>(
+    gates: impl IntoIterator<Item = &'a OccupancyGrid>,
+    camera: &Camera,
+    sampler: &SamplerConfig,
+) -> Vec<Vec<RayWorkload>> {
+    gates.into_iter().map(|gate| trace_frame(gate, camera, sampler).workloads).collect()
+}
+
+/// Partitions a scene occupancy grid into `experts` per-chip gates,
+/// emulating the *partial* spatial specialization MoE training
+/// produces (Fig. 8: regions are dominated by one expert, but many are
+/// shared by two or more). Cells deep inside another expert's
+/// azimuthal sector (the inner half around its center) are pruned from
+/// an expert's gate; boundary regions stay shared by all.
+pub fn partition_occupancy(full: &OccupancyGrid, experts: usize) -> Vec<OccupancyGrid> {
+    let mut grids: Vec<OccupancyGrid> =
+        (0..experts).map(|_| OccupancyGrid::new(full.resolution(), full.threshold())).collect();
+    if experts == 1 {
+        grids[0] = full.clone();
+        return grids;
+    }
+    let sector = std::f32::consts::TAU / experts as f32;
+    for cell in full.occupied_cells() {
+        let c = full.cell_center(cell);
+        let angle = (c.z - 0.5).atan2(c.x - 0.5) + std::f32::consts::PI;
+        for (e, grid) in grids.iter_mut().enumerate() {
+            // Angular distance to each *other* expert's sector center.
+            let strongly_owned_by_other = (0..experts).any(|m| {
+                if m == e {
+                    return false;
+                }
+                let center = (m as f32 + 0.5) * sector;
+                let mut d = (angle - center).abs();
+                if d > std::f32::consts::PI {
+                    d = std::f32::consts::TAU - d;
+                }
+                d < 0.25 * sector
+            });
+            if !strongly_owned_by_other {
+                grid.set_cell(cell, true);
+            }
+        }
+    }
+    grids
 }
 
 /// Trains a [`MoeNerf`] end to end with pixel-sum fusion.
@@ -257,9 +257,10 @@ pub struct MoeTrainer<E: Encoding = HashGrid> {
     moe: MoeNerf<E>,
     optimizers: Vec<ModelOptimizer>,
     grads: Vec<ModelGrads>,
-    /// One working set per expert: every expert's forward pass over a
-    /// ray is retained until the fused pixel's backward pass.
-    scratch: Vec<ExpertScratch>,
+    /// One training-ray working set per expert: every expert's forward
+    /// pass over a ray is retained until the fused pixel's backward
+    /// pass.
+    scratch: Vec<TrainingRay>,
     config: TrainerConfig,
     iteration: u32,
 }
@@ -269,7 +270,7 @@ impl<E: Encoding> MoeTrainer<E> {
     pub fn new(moe: MoeNerf<E>, config: TrainerConfig, adam: AdamConfig) -> Self {
         let optimizers = moe.experts.iter().map(|e| ModelOptimizer::new(adam, &e.model)).collect();
         let grads = moe.experts.iter().map(|e| e.model.alloc_grads()).collect();
-        let scratch = moe.experts.iter().map(|_| ExpertScratch::default()).collect();
+        let scratch = moe.experts.iter().map(|_| TrainingRay::new()).collect();
         MoeTrainer { moe, optimizers, grads, scratch, config, iteration: 0 }
     }
 
@@ -318,7 +319,16 @@ impl<E: Encoding> MoeTrainer<E> {
             for ((expert, scratch), t) in
                 self.moe.experts.iter().zip(&mut self.scratch).zip(&mut trans)
             {
-                let (c, transmittance) = scratch.shade(expert, ray, &self.config.sampler, true);
+                // Named by type: the lint's call graph resolves a bare
+                // `.forward(` to every `forward` method.
+                let (c, transmittance) = TrainingRay::forward(
+                    scratch,
+                    &expert.model,
+                    &expert.occupancy,
+                    &self.config.sampler,
+                    ray,
+                    Vec3::ZERO,
+                );
                 color += c;
                 *t = transmittance;
             }
@@ -339,25 +349,7 @@ impl<E: Encoding> MoeTrainer<E> {
                 let others: f32 =
                     trans.iter().enumerate().filter(|&(j, _)| j != e).map(|(_, &t)| t).product();
                 let effective_bg = self.config.background * others;
-                composite_backward_into(
-                    &scratch.shaded,
-                    effective_bg,
-                    d_pixel,
-                    &mut scratch.sample_grads,
-                );
-                scratch.d_sigma.clear();
-                scratch.d_color.clear();
-                for g in &scratch.sample_grads {
-                    scratch.d_sigma.push(g.d_sigma); // lint: allow(h2): amortized into retained scratch capacity
-                    scratch.d_color.push(g.d_color); // lint: allow(h2): amortized into retained scratch capacity
-                }
-                expert.model.backward_batch(
-                    scratch.samples.positions(),
-                    &scratch.d_sigma,
-                    &scratch.d_color,
-                    &mut scratch.kernel,
-                    grads,
-                );
+                scratch.backward(&expert.model, effective_bg, d_pixel, grads);
             }
         }
 
@@ -402,9 +394,12 @@ impl<E: Encoding> MoeTrainer<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusion3d_nerf::camera::orbit_poses;
     use fusion3d_nerf::encoding::HashGridConfig;
+    use fusion3d_nerf::math::Ray;
     use fusion3d_nerf::reference;
-    use fusion3d_nerf::render::{composite, composite_backward};
+    use fusion3d_nerf::render::{composite, composite_backward, ShadedSample};
+    use fusion3d_nerf::sampler::sample_ray;
     use fusion3d_nerf::scenes::{ProceduralScene, SyntheticScene};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -451,6 +446,10 @@ mod tests {
         MoeNerf::new(0, small_expert_config(), 12, 0.5, &mut rng);
     }
 
+    fn small_camera() -> Camera {
+        Camera::new(orbit_poses(Vec3::splat(0.5), 1.2, 1)[0], 6, 6, 0.8)
+    }
+
     #[test]
     fn empty_gates_render_pure_background() {
         let mut rng = SmallRng::seed_from_u64(1);
@@ -458,10 +457,9 @@ mod tests {
         for e in &mut moe.experts {
             e.occupancy = OccupancyGrid::new(8, 0.5); // all empty
         }
-        let ray = Ray::new(Vec3::new(-1.0, 0.4, 0.45), Vec3::X);
         let bg = Vec3::new(0.2, 0.5, 0.8);
-        let c = moe.render_pixel(&ray, &SamplerConfig::default(), bg);
-        assert_eq!(c, bg);
+        let img = moe.render_image(&small_camera(), &SamplerConfig::default(), bg);
+        assert!(img.pixels().iter().all(|&c| c == bg));
     }
 
     #[test]
@@ -470,15 +468,17 @@ mod tests {
         // per-expert pixels.
         let mut rng = SmallRng::seed_from_u64(2);
         let moe = MoeNerf::new(3, small_expert_config(), 8, 0.5, &mut rng);
-        let ray = Ray::new(Vec3::new(-1.0, 0.3, 0.6), Vec3::X);
+        let camera = small_camera();
         let sampler = SamplerConfig::default();
-        let fused = moe.render_pixel(&ray, &sampler, Vec3::ZERO);
-        let mut manual = Vec3::ZERO;
-        for expert in moe.experts() {
-            let (_, shaded) = reference_shade(expert, &ray, &sampler);
-            manual += composite(&shaded, Vec3::ZERO, false).color;
+        let img = moe.render_image(&camera, &sampler, Vec3::ZERO);
+        for (x, y, ray) in camera.rays() {
+            let mut manual = Vec3::ZERO;
+            for expert in moe.experts() {
+                let (_, shaded) = reference_shade(expert, &ray, &sampler);
+                manual += composite(&shaded, Vec3::ZERO, false).color;
+            }
+            assert!((img.get(x, y) - manual).length() < 1e-5);
         }
-        assert!((fused - manual).length() < 1e-5);
     }
 
     /// One expert's samples along `ray`, shaded through the scalar
@@ -598,6 +598,23 @@ mod tests {
         for (i, e) in moe.experts().iter().enumerate() {
             let r = e.occupancy.occupancy_ratio();
             assert!(r > 0.1 && r < 0.6, "expert {i} gate ratio {r}");
+        }
+    }
+
+    #[test]
+    fn partition_covers_and_overlaps() {
+        let full = ProceduralScene::synthetic(SyntheticScene::Hotdog).occupancy_grid(32);
+        let parts = partition_occupancy(&full, 4);
+        assert_eq!(parts.len(), 4);
+        // Every occupied cell is owned by at least one expert.
+        for cell in full.occupied_cells() {
+            assert!(parts.iter().any(|g| g.is_cell_occupied(cell)));
+        }
+        // Each expert holds a strict subset.
+        let total: f64 = parts.iter().map(|g| g.occupancy_ratio()).sum();
+        assert!(total >= full.occupancy_ratio());
+        for p in &parts {
+            assert!(p.occupancy_ratio() < full.occupancy_ratio());
         }
     }
 

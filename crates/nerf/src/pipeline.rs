@@ -176,6 +176,34 @@ pub fn render_pixel<E: Encoding>(
     color
 }
 
+/// Shades every pixel of `camera`, one pixel row per work chunk
+/// across the worker pool, and returns `pixel` of each ray's result
+/// in raster order. Chunk geometry and the merge order depend only on
+/// the camera, so the output is bitwise-identical for any
+/// `FUSION3D_THREADS` setting.
+fn shade_frame<E: Encoding, T: Send>(
+    model: &NerfModel<E>,
+    occupancy: &OccupancyGrid,
+    camera: &Camera,
+    config: &PipelineConfig,
+    early_stop: bool,
+    pixel: impl Fn(ShadedRay<'_>) -> T + Sync,
+) -> Vec<T> {
+    let width = camera.width() as usize;
+    let count = width * camera.height() as usize;
+    Pool::new().parallel_flat_map_with(count, width.max(1), RayScratch::new, |_, range, scratch| {
+        let mut row = Vec::with_capacity(range.len());
+        let rays = pixel_rays(camera, range);
+        shade_rays(model, occupancy, config, early_stop, rays, scratch, |shaded| {
+            // lint: allow(h2): per-chunk pixel buffer is the parallel
+            // dispatch's return convention — one allocation per
+            // chunk, sized up front
+            row.push(pixel(shaded))
+        });
+        row
+    })
+}
+
 /// Renders a full frame through the end-to-end pipeline, dispatching
 /// one pixel row per work chunk across the worker pool. The output is
 /// bitwise-identical for any `FUSION3D_THREADS` setting.
@@ -185,27 +213,24 @@ pub fn render_image<E: Encoding>(
     camera: &Camera,
     config: &PipelineConfig,
 ) -> Image {
-    let width = camera.width() as usize;
-    let count = width * camera.height() as usize;
-    let pixels = Pool::new().parallel_flat_map_with(
-        count,
-        width.max(1),
-        RayScratch::new,
-        |_, range, scratch| {
-            let mut row = Vec::with_capacity(range.len());
-            let rays = pixel_rays(camera, range);
-            shade_rays(model, occupancy, config, config.early_stop, rays, scratch, |shaded| {
-                // lint: allow(h2): per-chunk pixel buffer is the
-                // parallel dispatch's return convention — one
-                // allocation per chunk, sized up front
-                row.push(shaded.color)
-            });
-            row
-        },
-    );
+    let pixels = shade_frame(model, occupancy, camera, config, config.early_stop, |s| s.color);
     let mut img = Image::new(camera.width(), camera.height());
     img.pixels_mut().copy_from_slice(&pixels);
     img
+}
+
+/// Renders a frame's per-pixel `(color, transmittance)` in raster
+/// order: [`render_image`]'s pixels together with the transmittance
+/// left behind each ray's last sample. A multi-chip expert renders
+/// with a black background and early stop off, so its partial sums
+/// fuse exactly across chips (`C = Σ C_e + bg · Π T_e`).
+pub fn render_radiance<E: Encoding>(
+    model: &NerfModel<E>,
+    occupancy: &OccupancyGrid,
+    camera: &Camera,
+    config: &PipelineConfig,
+) -> Vec<(Vec3, f32)> {
+    shade_frame(model, occupancy, camera, config, config.early_stop, |s| (s.color, s.transmittance))
 }
 
 /// Renders several cameras against one scene in a single batched
@@ -361,23 +386,7 @@ pub fn render_depth_image<E: Encoding>(
     camera: &Camera,
     config: &PipelineConfig,
 ) -> Image {
-    let width = camera.width() as usize;
-    let count = width * camera.height() as usize;
-    let depths: Vec<Option<f32>> = Pool::new().parallel_flat_map_with(
-        count,
-        width.max(1),
-        RayScratch::new,
-        |_, range, scratch| {
-            let mut row = Vec::with_capacity(range.len());
-            let rays = pixel_rays(camera, range);
-            shade_rays(model, occupancy, config, false, rays, scratch, |shaded| {
-                // lint: allow(h2): per-chunk depth buffer — see
-                // render_image
-                row.push(shaded.depth())
-            });
-            row
-        },
-    );
+    let depths = shade_frame(model, occupancy, camera, config, false, |s| s.depth());
     let max = depths.iter().flatten().cloned().fold(0.0f32, f32::max).max(1e-6);
     let mut img = Image::new(camera.width(), camera.height());
     for (i, d) in depths.iter().enumerate() {

@@ -150,45 +150,21 @@ pub fn sample_ray(
         lattice_steps_per_pair: Vec::with_capacity(pairs.len()),
     };
     let dt = config.step();
-    'pairs: for (cube, span) in pairs {
-        workload
-            .lattice_steps_per_pair
-            // lint: allow(h2): per-ray workload-tracing variant with
-            // with_capacity'd output; shading uses sample_ray_into
-            .push((span.length() / dt).ceil().min(u16::MAX as f32) as u16);
-        let mut retained_in_pair = 0u16;
-        let mut steps_in_pair = 0u16;
-        // Offset the first sample half a step into the span so samples
-        // sit at interval midpoints. All samples stay on this lattice:
-        // empty-cell skips advance `t` to the next lattice point past
-        // the cell exit, so occupancy pruning never moves a sample.
-        let t0 = span.t_near + dt * 0.5;
-        let mut t = t0;
-        while t < span.t_far {
-            steps_in_pair = steps_in_pair.saturating_add(1);
-            let p = ray.at(t);
-            if occupancy.is_occupied(p) {
-                // lint: allow(h2): tracing variant — see above
-                samples.push(RaySample { t, dt, position: p, cube });
-                retained_in_pair += 1;
-                if samples.len() >= config.max_samples_per_ray {
-                    workload.samples_per_pair.push(retained_in_pair); // lint: allow(h2): tracing variant
-                    workload.steps_per_pair.push(steps_in_pair); // lint: allow(h2): tracing variant
-                    break 'pairs;
-                }
-                t += dt;
-            } else {
-                // Empty cell: one DDA step skips the whole cell
-                // (Stage-I hardware walks the occupancy grid, not the
-                // fine lattice, through empty space).
-                let exit = occupancy.cell_exit_t(ray, t);
-                let k = ((exit - t0) / dt).floor() + 1.0;
-                t = (t0 + k * dt).max(t + dt);
-            }
-        }
-        workload.samples_per_pair.push(retained_in_pair); // lint: allow(h2): tracing variant
-        workload.steps_per_pair.push(steps_in_pair); // lint: allow(h2): tracing variant
-    }
+    march(
+        ray,
+        occupancy,
+        config,
+        &pairs,
+        // lint: allow(h2): per-ray workload-tracing variant with
+        // with_capacity'd output; shading uses sample_ray_into
+        |t, dt, position, cube| samples.push(RaySample { t, dt, position, cube }),
+        |span, retained, steps| {
+            let lattice = (span.length() / dt).ceil().min(u16::MAX as f32) as u16;
+            workload.lattice_steps_per_pair.push(lattice); // lint: allow(h2): tracing variant
+            workload.samples_per_pair.push(retained); // lint: allow(h2): tracing variant
+            workload.steps_per_pair.push(steps); // lint: allow(h2): tracing variant
+        },
+    );
     (samples, workload)
 }
 
@@ -217,33 +193,63 @@ pub(crate) fn sample_ray_append(
     config: &SamplerConfig,
     out: &mut SampleBatch,
 ) {
-    let start = out.len();
     let mut pairs = std::mem::take(&mut out.pairs);
     ray_cube_pairs_into(ray, &mut pairs);
+    // lint: allow(h2): amortized — caller-owned SampleBatch cleared
+    // per ray or tile within capacity
+    march(ray, occupancy, config, &pairs, |t, dt, p, _| out.push(t, dt, p), |_, _, _| {});
+    out.pairs = pairs;
+}
+
+/// The one Stage-I march: walks each valid pair front to back on a
+/// fixed lattice, hands every occupied sample `(t, δt, position,
+/// cube)` to `sample`, and reports each pair's `(span, retained
+/// samples, marching steps)` to `pair_done` when the pair ends or the
+/// ray's sample cap is reached. A no-op `pair_done` lets the compiler
+/// drop the per-pair counters from the shading march.
+#[inline]
+fn march(
+    ray: &Ray,
+    occupancy: &OccupancyGrid,
+    config: &SamplerConfig,
+    pairs: &[(u8, TSpan)],
+    mut sample: impl FnMut(f32, f32, Vec3, u8),
+    mut pair_done: impl FnMut(TSpan, u16, u16),
+) {
     let dt = config.step();
-    'pairs: for &(_, span) in pairs.iter() {
-        // Same lattice as `sample_ray`: first sample half a step into
-        // the span, empty-cell DDA skips land back on the lattice.
+    let mut kept = 0usize;
+    for &(cube, span) in pairs {
+        let mut retained = 0u16;
+        let mut steps = 0u16;
+        // Offset the first sample half a step into the span so samples
+        // sit at interval midpoints. All samples stay on this lattice:
+        // empty-cell skips advance `t` to the next lattice point past
+        // the cell exit, so occupancy pruning never moves a sample.
         let t0 = span.t_near + dt * 0.5;
         let mut t = t0;
         while t < span.t_far {
+            steps = steps.saturating_add(1);
             let p = ray.at(t);
             if occupancy.is_occupied(p) {
-                // lint: allow(h2): amortized — caller-owned
-                // SampleBatch cleared per ray or tile within capacity
-                out.push(t, dt, p);
-                if out.len() - start >= config.max_samples_per_ray {
-                    break 'pairs;
+                sample(t, dt, p, cube);
+                retained = retained.saturating_add(1);
+                kept += 1;
+                if kept >= config.max_samples_per_ray {
+                    pair_done(span, retained, steps);
+                    return;
                 }
                 t += dt;
             } else {
+                // Empty cell: one DDA step skips the whole cell
+                // (Stage-I hardware walks the occupancy grid, not the
+                // fine lattice, through empty space).
                 let exit = occupancy.cell_exit_t(ray, t);
                 let k = ((exit - t0) / dt).floor() + 1.0;
                 t = (t0 + k * dt).max(t + dt);
             }
         }
+        pair_done(span, retained, steps);
     }
-    out.pairs = pairs;
 }
 
 #[cfg(test)]

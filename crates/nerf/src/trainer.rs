@@ -11,8 +11,9 @@
 use crate::adam::AdamConfig;
 use crate::batch::{KernelScratch, SampleBatch};
 use crate::dataset::Dataset;
+use crate::encoding::Encoding;
 use crate::image::Image;
-use crate::math::Vec3;
+use crate::math::{Ray, Vec3};
 use crate::model::{ModelGrads, ModelOptimizer, NerfModel};
 use crate::occupancy::OccupancyGrid;
 use crate::pipeline::{render_image, PipelineConfig};
@@ -185,12 +186,14 @@ pub struct StepStats {
     pub samples: usize,
 }
 
-/// Reusable per-shard scratch for one slice of a training batch: a
-/// private gradient buffer plus the forward/backward working memory,
-/// so the hot loop allocates nothing per ray.
-#[derive(Debug)]
-struct ShardScratch {
-    grads: ModelGrads,
+/// The training-ray routine: one ray's Stage-I march, batched
+/// forward pass and compositing ([`TrainingRay::forward`]), then the
+/// backward pass through compositing, the MLPs and the encoding into
+/// a gradient buffer ([`TrainingRay::backward`]). The value owns the
+/// working memory, so a loop over rays allocates nothing per ray, and
+/// it retains one forward pass until the matching backward.
+#[derive(Debug, Clone, Default)]
+pub struct TrainingRay {
     samples: SampleBatch,
     kernel: KernelScratch,
     sample_grads: Vec<SampleGrad>,
@@ -198,17 +201,70 @@ struct ShardScratch {
     d_color: Vec<Vec3>,
 }
 
-impl ShardScratch {
-    fn new<E: crate::encoding::Encoding>(model: &NerfModel<E>) -> Self {
-        ShardScratch {
-            grads: model.alloc_grads(),
-            samples: SampleBatch::new(),
-            kernel: KernelScratch::new(),
-            sample_grads: Vec::new(),
-            d_sigma: Vec::new(),
-            d_color: Vec::new(),
-        }
+impl TrainingRay {
+    /// Creates an empty working set sized lazily on first use.
+    pub fn new() -> Self {
+        TrainingRay::default()
     }
+
+    /// Samples `ray` through `occupancy`, shades the samples with one
+    /// batched forward pass and composites them over `background`
+    /// without early stop, returning the pixel's `(color,
+    /// transmittance)`. Keeps what [`TrainingRay::backward`] needs.
+    pub fn forward<E: Encoding>(
+        &mut self,
+        model: &NerfModel<E>,
+        occupancy: &OccupancyGrid,
+        sampler: &SamplerConfig,
+        ray: &Ray,
+        background: Vec3,
+    ) -> (Vec3, f32) {
+        sample_ray_into(ray, occupancy, sampler, &mut self.samples);
+        model.forward_batch(self.samples.positions(), ray.direction, &mut self.kernel);
+        self.kernel.build_shaded(self.samples.dts());
+        composite_into(&self.kernel.shaded, background, false, &mut self.kernel.weights)
+    }
+
+    /// Samples retained by the last [`TrainingRay::forward`].
+    pub fn sample_count(&self) -> usize {
+        self.samples.len()
+    }
+
+    /// Backpropagates `d_pixel` (the loss gradient w.r.t. the pixel
+    /// color) through the last forward pass and accumulates the
+    /// parameter gradients into `grads`. `background` is the radiance
+    /// behind the ray's last sample as the loss sees it, which may
+    /// differ from the one passed to `forward`.
+    pub fn backward<E: Encoding>(
+        &mut self,
+        model: &NerfModel<E>,
+        background: Vec3,
+        d_pixel: Vec3,
+        grads: &mut ModelGrads,
+    ) {
+        composite_backward_into(&self.kernel.shaded, background, d_pixel, &mut self.sample_grads);
+        self.d_sigma.clear();
+        self.d_color.clear();
+        for g in &self.sample_grads {
+            self.d_sigma.push(g.d_sigma); // lint: allow(h2): amortized into retained scratch capacity
+            self.d_color.push(g.d_color); // lint: allow(h2): amortized into retained scratch capacity
+        }
+        model.backward_batch(
+            self.samples.positions(),
+            &self.d_sigma,
+            &self.d_color,
+            &mut self.kernel,
+            grads,
+        );
+    }
+}
+
+/// One slice of a training batch: a private gradient buffer plus the
+/// training-ray working set.
+#[derive(Debug)]
+struct ShardScratch {
+    grads: ModelGrads,
+    ray: TrainingRay,
 }
 
 /// A NeRF trainer owning the model, occupancy grid, and optimizer
@@ -351,9 +407,10 @@ impl<E: crate::encoding::Encoding> Trainer<E> {
         // shards whose start lies past the end of the batch.
         let shard_count = batch.len().div_ceil(rays_per_shard.max(1)).max(1);
         while self.shards.len() < shard_count {
+            let shard = ShardScratch { grads: self.model.alloc_grads(), ray: TrainingRay::new() };
             // lint: allow(h2): shards grow lazily to the shard count
             // on the first step, then are reused by every later one
-            self.shards.push(ShardScratch::new(&self.model));
+            self.shards.push(shard);
         }
         let inv_norm = 1.0 / (batch.len() as f32 * 3.0);
 
@@ -373,45 +430,22 @@ impl<E: crate::encoding::Encoding> Trainer<E> {
                 let mut loss_sum = 0.0f64;
                 let mut sample_count = 0usize;
                 for (ray, target) in &batch_ref[start..end] {
-                    // Stage I into the reusable SoA batch, then one
-                    // batched forward/backward over the whole ray.
-                    sample_ray_into(ray, occupancy, &config.sampler, &mut scratch.samples);
-                    sample_count += scratch.samples.len();
-                    model.forward_batch(
-                        scratch.samples.positions(),
-                        ray.direction,
-                        &mut scratch.kernel,
-                    );
-                    scratch.kernel.build_shaded(scratch.samples.dts());
-                    let (color, _) = composite_into(
-                        &scratch.kernel.shaded,
+                    // Named by type: the lint's call graph resolves a
+                    // bare `.forward(` to every `forward` method.
+                    let (color, _) = TrainingRay::forward(
+                        &mut scratch.ray,
+                        model,
+                        occupancy,
+                        &config.sampler,
+                        ray,
                         config.background,
-                        false,
-                        &mut scratch.kernel.weights,
                     );
+                    sample_count += scratch.ray.sample_count();
                     let err = color - *target;
                     loss_sum += (err.length_squared() / 3.0) as f64;
                     // d(mean squared error)/d(pixel color).
                     let d_pixel = err * (2.0 * inv_norm);
-                    composite_backward_into(
-                        &scratch.kernel.shaded,
-                        config.background,
-                        d_pixel,
-                        &mut scratch.sample_grads,
-                    );
-                    scratch.d_sigma.clear();
-                    scratch.d_color.clear();
-                    for g in &scratch.sample_grads {
-                        scratch.d_sigma.push(g.d_sigma); // lint: allow(h2): amortized into retained scratch capacity
-                        scratch.d_color.push(g.d_color); // lint: allow(h2): amortized into retained scratch capacity
-                    }
-                    model.backward_batch(
-                        scratch.samples.positions(),
-                        &scratch.d_sigma,
-                        &scratch.d_color,
-                        &mut scratch.kernel,
-                        &mut scratch.grads,
-                    );
+                    scratch.ray.backward(model, config.background, d_pixel, &mut scratch.grads);
                 }
                 (loss_sum, sample_count)
             });

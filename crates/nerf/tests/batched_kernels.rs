@@ -314,22 +314,35 @@ fn model_backward_batch_is_bitwise_scalar() {
 
 #[test]
 fn sample_ray_into_matches_sample_ray() {
-    let occupancy = OccupancyGrid::from_oracle(16, 0.0, |p| (p - Vec3::splat(0.5)).length() < 0.4);
+    // Both entry points run the one march; the batch must carry the
+    // tracing path's t/dt/position sequence on a full grid, a sparse
+    // one (empty-cell skips) and under a tight sample cap.
+    let mut full = OccupancyGrid::new(16, 0.0);
+    full.fill();
+    let sparse = OccupancyGrid::from_oracle(16, 0.0, |p| (p - Vec3::splat(0.5)).length() < 0.4);
     let config = SamplerConfig { steps_per_diagonal: 64, max_samples_per_ray: 48 };
+    let capped = SamplerConfig { steps_per_diagonal: 96, max_samples_per_ray: 5 };
     let mut batch = SampleBatch::new();
-    let mut rng = SmallRng::seed_from_u64(37);
-    for _ in 0..64 {
-        let origin = Vec3::new(rng.gen::<f32>() * 4.0 - 1.5, rng.gen(), rng.gen());
-        let target = Vec3::new(rng.gen(), rng.gen(), rng.gen());
-        let ray = Ray::new(origin, (target - origin).normalize());
-        let (scalar, _) = sample_ray(&ray, &occupancy, &config);
-        sample_ray_into(&ray, &occupancy, &config, &mut batch);
-        assert_eq!(batch.len(), scalar.len(), "sample count diverged");
-        for (i, s) in scalar.iter().enumerate() {
-            assert_eq!(batch.ts()[i].to_bits(), s.t.to_bits(), "t[{i}]");
-            assert_eq!(batch.dts()[i].to_bits(), s.dt.to_bits(), "dt[{i}]");
-            assert_eq!(batch.positions()[i], s.position, "position[{i}]");
+    for (name, occupancy, config) in
+        [("full", &full, config), ("sparse", &sparse, config), ("capped", &full, capped)]
+    {
+        let mut rng = SmallRng::seed_from_u64(37);
+        let mut total = 0;
+        for _ in 0..64 {
+            let origin = Vec3::new(rng.gen::<f32>() * 4.0 - 1.5, rng.gen(), rng.gen());
+            let target = Vec3::new(rng.gen(), rng.gen(), rng.gen());
+            let ray = Ray::new(origin, (target - origin).normalize());
+            let (scalar, _) = sample_ray(&ray, occupancy, &config);
+            sample_ray_into(&ray, occupancy, &config, &mut batch);
+            assert_eq!(batch.len(), scalar.len(), "{name}: sample count diverged");
+            for (i, s) in scalar.iter().enumerate() {
+                assert_eq!(batch.ts()[i].to_bits(), s.t.to_bits(), "{name}: t[{i}]");
+                assert_eq!(batch.dts()[i].to_bits(), s.dt.to_bits(), "{name}: dt[{i}]");
+                assert_eq!(batch.positions()[i], s.position, "{name}: position[{i}]");
+            }
+            total += scalar.len();
         }
+        assert!(total > 0, "{name}: no ray retained a sample");
     }
 }
 

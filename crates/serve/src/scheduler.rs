@@ -42,11 +42,8 @@ pub struct ServeConfig {
     /// Fixed cycles per request (response readout).
     pub request_overhead_cycles: u64,
     /// Container-load bandwidth in bytes per cycle (the paper's
-    /// USB-link streaming model; values below 1 are clamped to 1).
+    /// USB-link streaming model); must be at least 1.
     pub load_bytes_per_cycle: u64,
-    /// Record one `serve/request` span per completed request in
-    /// addition to the per-dispatch spans.
-    pub span_per_request: bool,
 }
 
 impl Default for ServeConfig {
@@ -63,7 +60,6 @@ impl Default for ServeConfig {
             batch_overhead_cycles: 2_000,
             request_overhead_cycles: 500,
             load_bytes_per_cycle: 1,
-            span_per_request: true,
         }
     }
 }
@@ -169,7 +165,8 @@ impl ServeSim {
     /// # Errors
     ///
     /// [`ServeError::ZeroConfig`] when `executors`, `max_batch`,
-    /// `queue_capacity`, `resolution` or `path_len` is zero; otherwise
+    /// `queue_capacity`, `resolution`, `path_len` or
+    /// `load_bytes_per_cycle` is zero; otherwise
     /// propagates [`SceneRegistry::new`] failures: oversized or
     /// malformed containers.
     pub fn new(store: SceneStore, config: &ServeConfig) -> Result<Self, ServeError> {
@@ -179,6 +176,7 @@ impl ServeSim {
             ("queue_capacity", config.queue_capacity == 0),
             ("resolution", config.resolution == 0),
             ("path_len", config.path_len == 0),
+            ("load_bytes_per_cycle", config.load_bytes_per_cycle == 0),
         ];
         if let Some(&(field, _)) = zero.iter().find(|(_, is_zero)| *is_zero) {
             return Err(ServeError::ZeroConfig { field });
@@ -285,7 +283,7 @@ impl ServeSim {
             let Some(scene) = self.queue.oldest_scene() else { continue };
             let (hit, loaded) = self.registry.ensure_resident(&self.store, scene)?;
             let load_cycles =
-                if hit { 0 } else { loaded.div_ceil(self.config.load_bytes_per_cycle.max(1)) };
+                if hit { 0 } else { loaded.div_ceil(self.config.load_bytes_per_cycle) };
             let mut batch = std::mem::take(&mut self.batch);
             self.queue.pop_batch_into(scene, self.config.max_batch, &mut batch);
             self.batch = batch;
@@ -314,9 +312,7 @@ impl ServeSim {
                 latencies.push(latency);
                 report.metrics.observe("serve.latency_cycles", "cycles", latency);
                 report.metrics.observe("serve.samples_per_request", "samples", samples);
-                if self.config.span_per_request {
-                    report.trace.record("serve/request", ticket.arrival_cycle, done);
-                }
+                report.trace.record("serve/request", ticket.arrival_cycle, done);
                 if let Some(slot) = per_scene_completed.get_mut(scene.index()) {
                     *slot += 1;
                 }
@@ -502,6 +498,11 @@ mod tests {
     #[test]
     fn zero_path_len_is_an_error() {
         rejects_zero("path_len", |c| c.path_len = 0);
+    }
+
+    #[test]
+    fn zero_load_bandwidth_is_an_error() {
+        rejects_zero("load_bytes_per_cycle", |c| c.load_bytes_per_cycle = 0);
     }
 
     #[test]

@@ -30,6 +30,11 @@ cargo run --release -q -p fusion3d-bench --bin experiments -- table1 > /dev/null
 if cargo run --release -q -p fusion3d-bench --bin experiments -- no-such-table 2> /dev/null; then
   echo "experiments accepted an unknown experiment name"; exit 1
 fi
+# The CLI's multi-chip path (gate partition, per-chip traces, system
+# simulation) has no test of its own: run it and require its line.
+cargo run --release -q --bin fusion3d -- simulate --scene lego --multichip > target/simulate_multichip.txt
+grep -q "multi-chip (4 chips)" target/simulate_multichip.txt \
+  || { echo "simulate --multichip printed no multi-chip line"; exit 1; }
 # Serving harness smoke: run the same short trace at 1 and 4 kernel
 # workers and hold the reports byte-identical (the serve determinism
 # contract, docs/SERVING.md), then assert the schema keys are present.

@@ -234,17 +234,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 
     if flag_present(&flags, "multichip") {
         use fusion3d::multichip::system::MultiChipSystem;
+        use fusion3d::multichip::{partition_occupancy, trace_gates};
         let system = MultiChipSystem::fusion3d();
-        let gates = fusion3d_bench_partition(&occupancy, 4);
-        let per_chip: Vec<Vec<fusion3d::nerf::RayWorkload>> = gates
-            .iter()
-            .map(|g| {
-                camera
-                    .rays()
-                    .map(|(_, _, ray)| fusion3d::nerf::sampler::sample_ray(&ray, g, &sampler).1)
-                    .collect()
-            })
-            .collect();
+        let per_chip = trace_gates(&partition_occupancy(&occupancy, 4), &camera, &sampler);
         let report = system.simulate(&per_chip, false);
         println!(
             "  multi-chip (4 chips): {:.2} ms/frame at trace scale, imbalance {:.2}",
@@ -253,39 +245,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// Local copy of the bench partitioner (the CLI does not depend on the
-/// bench crate): azimuthal sectors with strong-ownership pruning.
-fn fusion3d_bench_partition(
-    full: &fusion3d::nerf::OccupancyGrid,
-    experts: usize,
-) -> Vec<fusion3d::nerf::OccupancyGrid> {
-    let mut grids: Vec<fusion3d::nerf::OccupancyGrid> = (0..experts)
-        .map(|_| fusion3d::nerf::OccupancyGrid::new(full.resolution(), full.threshold()))
-        .collect();
-    let sector = std::f32::consts::TAU / experts as f32;
-    for cell in full.occupied_cells() {
-        let c = full.cell_center(cell);
-        let angle = (c.z - 0.5).atan2(c.x - 0.5) + std::f32::consts::PI;
-        for (e, grid) in grids.iter_mut().enumerate() {
-            let strongly_owned_by_other = (0..experts).any(|m| {
-                if m == e {
-                    return false;
-                }
-                let center = (m as f32 + 0.5) * sector;
-                let mut d = (angle - center).abs();
-                if d > std::f32::consts::PI {
-                    d = std::f32::consts::TAU - d;
-                }
-                d < 0.25 * sector
-            });
-            if !strongly_owned_by_other {
-                grid.set_cell(cell, true);
-            }
-        }
-    }
-    grids
 }
 
 fn cmd_scenes() -> Result<(), String> {
